@@ -201,8 +201,8 @@ def main(argv=None) -> int:
                         help="allowed fractional regression per cell "
                              "(default: 0.25)")
     parser.add_argument("--speed-tier", type=int, default=None, metavar="T",
-                        help="pin the repro.speed tier (0=reference, "
-                             "1=fastloop, 2=closures); default: REPRO_SPEED")
+                        help="pin the repro.speed tier: 0 reference, "
+                             "2 closures (default: REPRO_SPEED)")
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.warmup < 0:
         parser.error("--repeats must be >= 1 and --warmup >= 0")

@@ -569,8 +569,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--speed-tier", type=int, default=None,
                        metavar="T",
                        help="override the repro.speed tier: 0 reference, "
-                            "1 fastloop, 2 closures (default: "
-                            "$REPRO_SPEED or 2)")
+                            "2 closures (default: $REPRO_SPEED or 2)")
     # The committed audit baseline is generated at the test size, so the
     # gate defaults to it (every other command defaults to small); same
     # for the serve golden (SERVE_golden.json).
@@ -619,8 +618,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     fuzz_p.add_argument("--speed-tier", type=int, default=None,
                         metavar="T",
                         help="override the repro.speed tier: 0 reference, "
-                             "1 fastloop, 2 closures (default: "
-                             "$REPRO_SPEED or 2)")
+                             "2 closures (default: $REPRO_SPEED or 2)")
 
     args = parser.parse_args(argv)
     try:

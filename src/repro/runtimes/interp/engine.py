@@ -52,8 +52,6 @@ for _wop, _mop in wasm_map.STORES.items():
 _BIN_FN = wasm_map.BIN_FN
 _UN_FN = wasm_map.UN_FN
 
-from ...speed.fastloop import fast_run as _fast_run  # noqa: E402
-
 _MAX_DEPTH = 1000
 
 import sys as _sys
@@ -329,14 +327,11 @@ class Interpreter:
         # at every dispatch of the reference loop.  The static auditor
         # uses it to measure the executed opcode mix and the observed
         # operand-stack depth; like trace_memory it disables the fast
-        # path (the fused loop does not replay per-op dispatch).
+        # path (the closures do not replay per-op dispatch).
         self.opcode_profile = None
-        # Predecoded fast code per function index (repro.speed); when a
-        # function has an entry and no observer is attached, the
-        # model-equivalent fast loop runs instead of the reference loop.
-        self.fast_code: Optional[Dict[int, list]] = None
         # Closure-compiled functions per index (repro.speed.closures);
-        # preferred over fast_code, same observer gating.
+        # when a function has an entry and no observer is attached, the
+        # model-equivalent closure runs instead of the reference loop.
         self.closure_code: Optional[Dict[int, object]] = None
         # Handler code addresses: one cache line per opcode handler.
         shift = cpu.caches.line_shift
@@ -369,11 +364,6 @@ class Interpreter:
                 fn = code.get(func.index)
                 if fn is not None:
                     return fn(self, args)
-            fast = self.fast_code
-            if fast is not None:
-                fcode = fast.get(func.index)
-                if fcode is not None:
-                    return _fast_run(self, func, fcode, args)
         return self._run_ref(func, args)
 
     def _run_ref(self, func: PreparedFunction, args: List):

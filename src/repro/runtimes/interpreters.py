@@ -30,11 +30,9 @@ from ..wasi import WasiAPI
 
 class _LoadedInterp:
     def __init__(self, functions: List, code_bytes: int,
-                 fast: Optional[dict] = None,
                  closures: Optional[dict] = None):
         self.functions = functions
         self.code_bytes = code_bytes
-        self.fast = fast
         self.closures = closures
 
 
@@ -77,15 +75,12 @@ class InterpreterRuntime(WasmRuntime):
             cpu.counters.instructions += \
                 total_ops * profile.translate_cost_per_op
         cpu.memory.alloc("interp-code", total_ops * profile.code_bytes_per_op)
-        fast = None
         closures = None
         if entry is not None:
-            fast = entry.fast_code(profile, cpu.caches.line_shift)
-            if speed.tier() >= 2:
-                closures = speed.module_cache.closure_code(
-                    entry, profile, cpu.caches.line_shift)
+            closures = speed.module_cache.closure_code(
+                entry, profile, cpu.caches.line_shift)
         return _LoadedInterp(prepared, total_ops * profile.code_bytes_per_op,
-                             fast, closures)
+                             closures)
 
     def _execute(self, loaded: _LoadedInterp, env: Environment,
                  cpu: CPUModel, wasi: WasiAPI) -> None:
@@ -94,7 +89,6 @@ class InterpreterRuntime(WasmRuntime):
             functions[index] = entry
         interp = Interpreter(self.profile, cpu, env.memory, env.globals,
                              env.table, functions)
-        interp.fast_code = loaded.fast
         interp.closure_code = loaded.closures
         if self.instr_profile is not None:
             interp.opcode_profile = self.instr_profile

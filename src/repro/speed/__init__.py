@@ -2,34 +2,32 @@
 
 Everything in this package is about *wall clock*, never about the model:
 the modeled counters, traps, stdout and trace files produced with the
-speed layer enabled are byte-identical to the reference implementation
-(tests/test_speed.py and tests/test_closures.py enforce this;
-PERFORMANCE.md documents the contract).  Four techniques:
+speed layer enabled are byte-identical to the reference interpreter loop
+``Interpreter._run_ref`` (tests/test_closures.py and tests/test_speed.py
+enforce this; PERFORMANCE.md documents the contract).  Three techniques:
 
 * **predecode + fuse** (:mod:`repro.speed.predecode`) — translate a
-  validated function body once into a flat tuple-of-handlers form, with
+  validated function body once into a flat tuple form, with
   superinstruction fusion for the dominant sequences, mirroring the
   locality discipline of ``repro.isa.machine``.
 * **closure compilation** (:mod:`repro.speed.closures`) — compile each
-  function's fcode into one ``exec``-compiled Python closure: a
-  template JIT *of the model itself* that specializes opcode dispatch
-  away entirely.
+  function's predecoded form into one ``exec``-compiled Python
+  closure: a template JIT *of the model itself* that specializes opcode
+  dispatch away entirely, with ``call_indirect`` inline caches and
+  every model hot path shadowed in frame locals.
 * **decoded-module caching** (:mod:`repro.speed.modcache`) — decoded,
   validated and prepared module forms (and generated closure source)
   are shared across engines and runs in-process, and persisted through
   the content-addressed artifact cache keyed by module hash +
   :data:`SPEED_VERSION` so ``--jobs`` pool workers share them too.
-* **inline caches** for ``call_indirect`` plus per-frame local binding
-  in the interpreter hot loop (:mod:`repro.speed.fastloop`).
 
 The layer is tiered via ``REPRO_SPEED`` (or :func:`set_tier`):
 
 =====  ==========================================================
 tier   meaning
 =====  ==========================================================
-``0``  reference implementations only (the escape hatch)
-``1``  predecoded fastloop + module cache
-``2``  closure-compiled functions (default; includes tier 1)
+``0``  reference implementations only (the oracle)
+``2``  closure-compiled functions + module cache (default)
 =====  ==========================================================
 
 Any other value is rejected with a one-line :class:`HarnessError` the
@@ -50,7 +48,7 @@ from ..errors import HarnessError
 SPEED_VERSION = 2   # 2: DecodeStats gained the non_minimal offsets field
 
 #: The tiers `REPRO_SPEED` accepts (see module docstring).
-TIERS = (0, 1, 2)
+TIERS = (0, 2)
 _DEFAULT_TIER = 2
 
 # Parsed lazily: a bad env var raises HarnessError at first *use* (the
@@ -59,14 +57,14 @@ _tier: Optional[int] = None
 
 
 def tier() -> int:
-    """The active speed tier (0 reference / 1 fastloop / 2 closures)."""
+    """The active speed tier (0 reference / 2 closures)."""
     global _tier
     if _tier is None:
         raw = os.environ.get("REPRO_SPEED", str(_DEFAULT_TIER))
-        if raw not in ("0", "1", "2"):
+        if raw not in ("0", "2"):
             raise HarnessError(
-                f"REPRO_SPEED must be 0 (reference), 1 (fastloop) or "
-                f"2 (closures); got {raw!r}")
+                f"REPRO_SPEED must be 0 (reference) or 2 (closures); "
+                f"got {raw!r}")
         _tier = int(raw)
     return _tier
 
@@ -76,21 +74,14 @@ def set_tier(value: int) -> None:
     global _tier
     if value not in TIERS:
         raise HarnessError(
-            f"speed tier must be 0 (reference), 1 (fastloop) or "
-            f"2 (closures); got {value!r}")
+            f"speed tier must be 0 (reference) or 2 (closures); "
+            f"got {value!r}")
     _tier = value
 
 
 def enabled() -> bool:
-    """Is any fast path active? (tier >= 1; ``REPRO_SPEED=0`` turns it
-    off.)"""
-    return tier() >= 1
-
-
-def set_enabled(value: bool) -> None:
-    """Back-compat toggle: True selects the default (closure) tier,
-    False the reference tier."""
-    set_tier(_DEFAULT_TIER if value else 0)
+    """Is the fast path active? (``REPRO_SPEED=0`` turns it off.)"""
+    return tier() != 0
 
 
 from .modcache import ModuleCache, ModuleEntry  # noqa: E402
@@ -146,6 +137,5 @@ def wasm_memo_clear() -> None:
 
 
 __all__ = ["SPEED_VERSION", "TIERS", "tier", "set_tier", "enabled",
-           "set_enabled", "module_cache", "entry_for", "ModuleCache",
-           "ModuleEntry", "wasm_memo_get", "wasm_memo_put",
-           "wasm_memo_clear"]
+           "module_cache", "entry_for", "ModuleCache", "ModuleEntry",
+           "wasm_memo_get", "wasm_memo_put", "wasm_memo_clear"]

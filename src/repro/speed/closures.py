@@ -1,26 +1,47 @@
 """Closure compilation: one ``exec``-compiled Python function per Wasm
 function — a template JIT *of the model itself*.
 
-:mod:`repro.speed.fastloop` already removed dict lookups and side-table
-chasing from the interpreter hot loop, but it still pays one trip
-through a kind-dispatch chain per fcode entry and a tuple load per
-operand.  This module goes one tier further: it walks a function's
-fcode once and emits specialized Python *source* — every opcode's
-semantics, its modeled charges, the branch-predictor and L1I fast
-paths, and every per-instruction constant inlined as a literal — then
-``exec``-compiles that source into a closure the interpreter calls
-instead of any dispatch loop.
+The reference loop ``Interpreter._run_ref`` pays, per instruction, an
+opcode classification chain, side-table dict lookups and a trip through
+the model's method calls.  This module removes all of it: it walks a
+function's predecoded fcode (:mod:`repro.speed.predecode`) once and
+emits specialized Python *source* — every opcode's semantics, its
+modeled charges, the branch-predictor and L1I fast paths, and every
+per-instruction constant inlined as a literal — then ``exec``-compiles
+that source into a closure the interpreter calls instead of any
+dispatch loop.
 
 **Byte-identity.**  The generated code performs exactly the model
-updates of :func:`repro.speed.fastloop.fast_run`, in the same order,
-with the same shadowed frame state (pending ``instr``/``stall``/
-``br``/``ldr`` counts, the predictor target history, the L1I tick)
-written back at every observation point: before guest/host calls,
-before every trap, and at frame exit.  Slow paths (predictor update,
-L1I miss, trap-time flush) go through per-frame helper closures so the
-generated source stays compact; the helpers are verbatim transcriptions
-of the fastloop slow paths.  tests/test_closures.py holds the
-differential harness that enforces all of this.
+updates of :meth:`~repro.runtimes.interp.engine.Interpreter._run_ref`,
+with the same values and, where state is shared, in the same order:
+every counter charge, predictor update, cache access and trap message.
+Two model hot paths are inlined with their object state shadowed in
+frame locals:
+
+* the indirect-target predictor, in full: the steady-state hit (both
+  components already predict the dispatched target, so the chooser and
+  tables are provably unchanged — only the target history advances)
+  and the update path (chooser, BTB and history-table writes applied
+  directly to the model's dicts, the miss penalty charged to the
+  pending stall count);
+* the L1I cache hit (tick bump + LRU touch, no miss recursion).
+
+The shadowed state (pending ``instr``/``stall``/``br``/``ldr`` counts,
+the predictor target history, the L1I tick) is written back at every
+point the rest of the system can observe it: before guest/host calls,
+before every trap, and at frame exit.  L1I misses fall back to the real
+cache method after a write-back, so the shared L2/L3 and eviction order
+stay exact.  Slow paths (predictor update, L1I miss, trap-time flush)
+go through per-frame helper closures so the generated source stays
+compact.  tests/test_closures.py holds the differential harness that
+enforces all of this against the reference loop.
+
+**Inline caches.**  Every ``call_indirect`` site carries an inline
+cache mapping table element index to resolved callee function index.
+The cache is sound because a module's funcref table never mutates
+during execution and is rebuilt identically on every instantiation;
+the cached value is the *index* (not the callee entry), because
+host-function entries are rebound per run.
 
 **Control flow.**  Structured Wasm control flow was already flattened
 to pc-level jumps by the prepare pass, so the generator lowers each
@@ -29,8 +50,8 @@ target and after every branch) laid out in an ``if _b == k`` chain
 inside ``while True``, with jumps compiled to ``_b = <block>``.
 ``br_table`` dispatches through an inlined pc-to-block literal dict.
 A branch target inside a fused group starts its own block from the
-group's preserved single-op tail entries, exactly like a fastloop
-branch landing mid-group.
+group's preserved single-op tail entries, so it executes the original
+single-op semantics.
 
 **Persistence.**  :func:`compile_bundle` returns pickle-friendly
 ``(source, const descriptors)`` pairs — semantic callables, codec
@@ -60,15 +81,6 @@ from .predecode import (
 
 #: A bundle: {func_index: (source text, [(name, descriptor), ...])}.
 Bundle = Dict[int, Tuple[str, List[Tuple[str, tuple]]]]
-
-#: fcode kinds that end a basic block.
-_TERMINATORS = frozenset((
-    K_BR_IF, K_BR, K_IF, K_ELSE, K_BR_TABLE, K_RETURN, K_UNREACHABLE,
-    K_BAD, F_LG_LG_CMP_BRIF, F_LG_CONST_CMP_BRIF))
-
-#: Index of the sequential-next-pc field per fused (non-branch) kind.
-_FUSED_NEXT = {F_LG_LG_BIN: 14, F_LG_CONST_BIN: 14, F_LG_LOAD: 13,
-               F_LG_LG_STORE: 17, F_LG_CONST_STORE: 16}
 
 _FLUSH = "_flush(instr, stall, br, ldr, l1i_refs, th, l1i_tick)"
 
@@ -109,10 +121,8 @@ def _resolve(descr: tuple):
     if kind == "store":
         return _STOREC[descr[1]][1]
     if kind == "ic":
-        # A fresh call_indirect inline cache per binding; sound for the
-        # same reason as the fastloop ICs (the cached value is the
-        # resolved function *index*, and a module's funcref table is
-        # rebuilt identically on every instantiation).
+        # A fresh call_indirect inline cache per binding (soundness:
+        # see the module docstring).
         return {}
     if kind == "obj":
         return descr[1]
@@ -182,8 +192,8 @@ def _collect_labels(fcode: list, n: int) -> List[int]:
                 labels.add(tgt)
             labels.add(e[6][0])
         elif k == F_LG_LG_CMP_BRIF or k == F_LG_CONST_CMP_BRIF:
-            labels.add(e[17])
-            labels.add(e[20])
+            labels.add(e[16])
+            labels.add(e[19])
     return sorted(label for label in labels if 0 <= label < n)
 
 
@@ -237,13 +247,14 @@ def _gen_function(pf, fcode: list,
         return name
 
     def goto(target: int) -> str:
-        # ``break`` leaves the trampoline straight into the epilogue —
-        # exactly the fastloop's ``pc = len(body)`` exit.
+        # ``break`` leaves the trampoline straight into the epilogue,
+        # as the reference loop leaves ``while pc < n`` on a branch to
+        # the end of the body.
         if target >= n:
             return "break"
         return f"_b = {block_of[target]}"
 
-    # -- model-update emitters (mirroring fast_run line for line) -------
+    # -- model-update emitters (the reference loop's model calls) --------
 
     def emit_pred(ind: int, site: int, target) -> None:
         # ``target`` is an int literal for static sites, or the name of
@@ -334,19 +345,19 @@ def _gen_function(pf, fcode: list,
             emit_sem_try(ind, f"stack[-1] = {fn}(stack[-1])")
         elif k == K_LOAD:
             unpack = consts.ref(("load", e[3]))
-            out.emit(ind, f"addr = pop() + {e[8]}")
+            out.emit(ind, f"addr = pop() + {e[7]}")
             emit_trap_guard(ind, e[5], load_trap)
             out.emit(ind, f"value = {unpack}(mem.data, addr)[0]")
-            out.emit(ind, f"push(value & {e[7]})" if e[7]
+            out.emit(ind, f"push(value & {e[6]})" if e[6]
                      else "push(value)")
             out.emit(ind, f"stall += l1d_access({guest_line_base} + "
                           f"(addr >> {line_shift}))")
         elif k == K_STORE:
             pack = consts.ref(("store", e[3]))
-            out.emit(ind, "value = pop()", f"addr = pop() + {e[8]}")
+            out.emit(ind, "value = pop()", f"addr = pop() + {e[7]}")
             emit_trap_guard(ind, e[5], store_trap)
             out.emit(ind,
-                     f"{pack}(mem.data, addr, value & {e[7]})" if e[7]
+                     f"{pack}(mem.data, addr, value & {e[6]})" if e[6]
                      else f"{pack}(mem.data, addr, value)",
                      "mem.touched.add(addr >> 12)",
                      f"stall += l1d_access({guest_line_base} + "
@@ -493,20 +504,20 @@ def _gen_function(pf, fcode: list,
             emit_l1i(ind, e[10])
             rhs = f"L{e[12]}" if k == F_LG_LG_BIN else _lit(e[12], consts)
             emit_sem_try(ind, f"push({fn}(L{e[11]}, {rhs}))")
-            return e[14]
+            return e[13]
         elif k == F_LG_LOAD:
             unpack = consts.ref(("load", e[6]))
             out.emit(ind, "ldr += 2")
             emit_pred(ind, e[5], e[6])
             emit_l1i(ind, e[7])
-            out.emit(ind, f"addr = L{e[8]} + {e[12]}")
+            out.emit(ind, f"addr = L{e[8]} + {e[11]}")
             emit_trap_guard(ind, e[9], load_trap)
             out.emit(ind, f"value = {unpack}(mem.data, addr)[0]")
-            out.emit(ind, f"push(value & {e[11]})" if e[11]
+            out.emit(ind, f"push(value & {e[10]})" if e[10]
                      else "push(value)")
             out.emit(ind, f"stall += l1d_access({guest_line_base} + "
                           f"(addr >> {line_shift}))")
-            return e[13]
+            return e[12]
         elif k == F_LG_LG_STORE or k == F_LG_CONST_STORE:
             pack = consts.ref(("store", e[9]))
             out.emit(ind, "ldr += 4")
@@ -516,15 +527,15 @@ def _gen_function(pf, fcode: list,
             emit_l1i(ind, e[10])
             if k == F_LG_LG_STORE:
                 out.emit(ind,
-                         f"value = L{e[12]} & {e[15]}" if e[15]
+                         f"value = L{e[12]} & {e[14]}" if e[14]
                          else f"value = L{e[12]}",
-                         f"addr = L{e[11]} + {e[16]}")
-                size, nxt = e[13], e[17]
+                         f"addr = L{e[11]} + {e[15]}")
+                size, nxt = e[13], e[16]
             else:
                 out.emit(ind,
                          f"value = {_lit(e[12], consts)}",
-                         f"addr = L{e[11]} + {e[15]}")
-                size, nxt = e[13], e[16]
+                         f"addr = L{e[11]} + {e[14]}")
+                size, nxt = e[13], e[15]
             emit_trap_guard(ind, size, store_trap)
             out.emit(ind,
                      f"{pack}(mem.data, addr, value)",
@@ -547,10 +558,10 @@ def _gen_function(pf, fcode: list,
                      f"cond = {fn}(L{e[14]}, {rhs})",
                      f"cond_branch({e[11]}, bool(cond))",
                      "if cond:")
-            emit_unwind(ind + 1, e[18], e[19])
-            out.emit(ind + 1, goto(e[17]))
+            emit_unwind(ind + 1, e[17], e[18])
+            out.emit(ind + 1, goto(e[16]))
             out.emit(ind, "else:")
-            out.emit(ind + 1, goto(e[20]))
+            out.emit(ind + 1, goto(e[19]))
             return -1
         else:  # pragma: no cover - exhaustive over the kind set
             raise ReproError(f"closure codegen: unhandled kind {k}")
@@ -640,8 +651,8 @@ def _gen_function(pf, fcode: list,
              "br = 0",
              "ldr = 0",
              "l1i_refs = 0",
-             # Slow paths, transcribed verbatim from fastloop so the
-             # model state evolves identically.
+             # The model's own slow paths, applied to the shadowed
+             # state so it evolves exactly as in the reference loop.
              "def _bp(si, hi, t, th, stall):",
              "    sp = btb.get(si)",
              "    hp = itc.get(hi)",

@@ -4,8 +4,8 @@ A ``wabench run`` executes the same module on six engines; a warm rerun
 executes it again.  The reference pipeline re-decodes, re-validates and
 re-prepares every time, even though all three passes are pure functions
 of the module bytes.  This cache keys the decoded :class:`Module`, its
-decode stats, the interpreter's prepared side tables and the predecoded
-fast code by ``sha256(wasm_bytes)``, so each is computed once per
+decode stats, the interpreter's prepared side tables and the bound
+closure code by ``sha256(wasm_bytes)``, so each is computed once per
 process — and, when a persistent :class:`~repro.harness.cache
 .ArtifactCache` is attached, once per cache directory.
 
@@ -25,7 +25,6 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError as _ReproError
-from . import predecode as _predecode
 
 #: In-memory entry capacity.  A fuzz campaign touches ~100 modules; the
 #: LRU bound keeps long-lived processes from holding every decoded
@@ -37,7 +36,7 @@ class ModuleEntry:
     """Everything derivable from one module's bytes, computed lazily."""
 
     __slots__ = ("sha", "module", "stats", "validated", "prepared",
-                 "total_ops", "_fast", "_closures")
+                 "total_ops", "_closures")
 
     def __init__(self, sha: str, module, stats, validated: bool = False):
         self.sha = sha
@@ -48,25 +47,11 @@ class ModuleEntry:
         # the wasm3/wamr loaders (prepare_function is profile-independent).
         self.prepared: Optional[List] = None
         self.total_ops = 0
-        # Predecoded fast code keyed by (profile name, line_shift); holds
-        # bound methods and semantic callables, so in-memory only.
-        self._fast: Dict[Tuple[str, int], Dict[int, list]] = {}
-        # Bound closure-compiled functions on the same key.  The
-        # *source bundle* persists to disk (ModuleCache.closure_code);
-        # the exec-compiled callables live here only.
+        # Bound closure-compiled functions keyed by (profile name,
+        # line_shift).  The *source bundle* persists to disk
+        # (ModuleCache.closure_code); the exec-compiled callables live
+        # here only.
         self._closures: Dict[Tuple[str, int], Dict[int, object]] = {}
-
-    def fast_code(self, profile, line_shift: int) -> Optional[Dict[int, list]]:
-        """Predecoded bodies for ``profile`` on a cache geometry, memoized."""
-        if self.prepared is None:
-            return None
-        key = (profile.name, line_shift)
-        fast = self._fast.get(key)
-        if fast is None:
-            fast = _predecode.predecode_functions(
-                self.prepared, profile, line_shift)
-            self._fast[key] = fast
-        return fast
 
 
 class ModuleCache:

@@ -1,12 +1,13 @@
-"""Predecode + superinstruction fusion for the interpreter fast path.
+"""Predecode + superinstruction fusion for the closure compiler.
 
 Translates a prepared function body once into ``fcode``: a list, indexed
-by the *same* pc as the original body, of flat handler tuples
+by the *same* pc as the original body, of flat tuples
 ``(kind, cost, ...)`` with every per-instruction constant precomputed —
 handler cost (dispatch + handler instructions), dispatch-site tag,
-handler I-cache line, side-table jump targets, load/store codecs and
-pre-masked immediates.  The hot loop then burns zero time on dict
-lookups, opcode classification or side-table chasing.
+handler I-cache line, side-table jump targets, access sizes, masks and
+offsets, and pre-masked immediates.  Every field is plain data: the
+generator in :mod:`repro.speed.closures` inlines it as a literal and
+rebinds semantic callables and codecs from the opcode.
 
 **Fusion.**  The dominant sequences compiled MiniC emits are collapsed
 into superinstructions stored at the head pc:
@@ -22,11 +23,11 @@ needs no leader analysis to be safe.  Comparison-only ``br_if`` fusion
 keeps trap-time counter flushes exact: comparisons cannot trap, so the
 fused group can never flush with the ``br_if``'s charge excluded.
 
-**The model contract.**  Fused handlers perform the per-op model calls
-(`indirect_branch`, L1I access, operand-stack refs) in exactly the
-reference loop's order, so predictor state, the shared cache hierarchy
-and every counter evolve identically; fusion only removes Python loop
-overhead.  See PERFORMANCE.md.
+**The model contract.**  Code generated for a fused group performs the
+per-op model calls (`indirect_branch`, L1I access, operand-stack refs)
+in exactly the reference loop's order, so predictor state, the shared
+cache hierarchy and every counter evolve identically; fusion only
+removes Python overhead.  See PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from ..wasm import opcodes as op
 
 # Load/store codecs keyed by wasm opcode (same construction as the
 # reference engine; duplicated here to keep the import graph acyclic).
+# Predecode reads the size and mask; closures rebind the callables.
 _LOADC: Dict[int, tuple] = {}
 for _wop, _mop in wasm_map.LOADS.items():
     _size, _fmt, _mask = mops.LOAD_CODEC[_mop]
@@ -66,26 +68,25 @@ _COMPARES = frozenset(
 
 # ---------------------------------------------------------------------------
 # fcode entry kinds.  Layouts (index: field) are documented next to each
-# constant and destructured positionally by repro.speed.fastloop.
+# constant and read positionally by repro.speed.closures.
 # ---------------------------------------------------------------------------
 
 # Singles — all start (kind, cost, site, opcode, line, ...).
 K_LOCAL_GET = 0       # 5: local index
 K_CONST = 1           # 5: pre-masked value
-K_BIN = 2             # 5: semantic fn
+K_BIN = 2
 K_LOCAL_SET = 3       # 5: local index
 K_LOCAL_TEE = 4       # 5: local index
-K_UN = 5              # 5: semantic fn
-K_LOAD = 6            # 5: size, 6: unpack, 7: mask, 8: offset
-K_STORE = 7           # 5: size, 6: pack, 7: mask, 8: offset
+K_UN = 5
+K_LOAD = 6            # 5: size, 6: mask, 7: offset
+K_STORE = 7           # 5: size, 6: mask, 7: offset
 K_BR_IF = 8           # 5: tgt, 6: arity, 7: height
 K_BR = 9              # 5: tgt, 6: arity, 7: height
 K_IF = 10             # 5: else/after target
 K_ELSE = 11           # 5: after target
 K_PASS = 12           # block/loop/end/nop
 K_CALL = 13           # 5: callee func index
-K_CALL_INDIRECT = 14  # 5: type index, 6: dispatch site | 0x8000_0000,
-#                       7: inline cache {elem_index: callee_index}
+K_CALL_INDIRECT = 14  # 5: type index, 6: dispatch site | 0x8000_0000
 K_GLOBAL_GET = 15     # 5: global index
 K_GLOBAL_SET = 16     # 5: global index
 K_DROP = 17
@@ -98,17 +99,17 @@ K_UNREACHABLE = 23
 K_BAD = 24            # validated modules never execute this
 
 # Fused — (kind, total cost, then (site, opcode, line) per sub-op, ...).
-F_LG_LG_BIN = 25        # 11: idx a, 12: idx b, 13: fn, 14: next pc
-F_LG_CONST_BIN = 26     # 11: idx a, 12: value, 13: fn, 14: next pc
-F_LG_LG_CMP_BRIF = 27   # 14: idx a, 15: idx b, 16: fn,
-#                         17: tgt, 18: arity, 19: height, 20: next pc
+F_LG_LG_BIN = 25        # 11: idx a, 12: idx b, 13: next pc
+F_LG_CONST_BIN = 26     # 11: idx a, 12: value, 13: next pc
+F_LG_LG_CMP_BRIF = 27   # 14: idx a, 15: idx b,
+#                         16: tgt, 17: arity, 18: height, 19: next pc
 F_LG_CONST_CMP_BRIF = 28  # 14: idx a, 15: value, rest as above
-F_LG_LOAD = 29          # 8: idx, 9: size, 10: unpack, 11: mask,
-#                         12: offset, 13: next pc
-F_LG_LG_STORE = 30      # 11: idx a, 12: idx v, 13: size, 14: pack,
-#                         15: mask, 16: offset, 17: next pc
+F_LG_LOAD = 29          # 8: idx, 9: size, 10: mask, 11: offset,
+#                         12: next pc
+F_LG_LG_STORE = 30      # 11: idx a, 12: idx v, 13: size, 14: mask,
+#                         15: offset, 16: next pc
 F_LG_CONST_STORE = 31   # 11: idx a, 12: pre-masked value, 13: size,
-#                         14: pack, 15: offset, 16: next pc
+#                         14: offset, 15: next pc
 
 
 def _const_value(ins: tuple) -> object:
@@ -151,19 +152,19 @@ def _predecode_body(pf, hcost: List[int], dispatch: int,
         elif o in _CONSTS:
             e = (K_CONST,) + head + (_const_value(ins),)
         elif o in _BIN_FN:
-            e = (K_BIN,) + head + (_BIN_FN[o],)
+            e = (K_BIN,) + head
         elif o == op.LOCAL_SET:
             e = (K_LOCAL_SET,) + head + (ins[1],)
         elif o == op.LOCAL_TEE:
             e = (K_LOCAL_TEE,) + head + (ins[1],)
         elif o in _UN_FN:
-            e = (K_UN,) + head + (_UN_FN[o],)
+            e = (K_UN,) + head
         elif o in _LOADC:
-            size, unpack, mask = _LOADC[o]
-            e = (K_LOAD,) + head + (size, unpack, mask, ins[2])
+            size, _, mask = _LOADC[o]
+            e = (K_LOAD,) + head + (size, mask, ins[2])
         elif o in _STOREC:
-            size, pack, mask = _STOREC[o]
-            e = (K_STORE,) + head + (size, pack, mask, ins[2])
+            size, _, mask = _STOREC[o]
+            e = (K_STORE,) + head + (size, mask, ins[2])
         elif o == op.BR_IF:
             tgt, arity, hgt = side[pc][1]
             e = (K_BR_IF,) + head + (tgt, arity, hgt)
@@ -180,7 +181,7 @@ def _predecode_body(pf, hcost: List[int], dispatch: int,
             e = (K_CALL,) + head + (ins[1],)
         elif o == op.CALL_INDIRECT:
             e = (K_CALL_INDIRECT,) + head + (
-                ins[1], func_tag | pc | 0x8000_0000, {})
+                ins[1], func_tag | pc | 0x8000_0000)
         elif o == op.GLOBAL_GET:
             e = (K_GLOBAL_GET,) + head + (ins[1],)
         elif o == op.GLOBAL_SET:
@@ -235,10 +236,10 @@ def _try_fuse(fcode: list, body: List[tuple], pc: int, n: int,
 
     # local.get; load
     if o2 in _LOADC:
-        size, unpack, mask = _LOADC[o2]
+        size, _, mask = _LOADC[o2]
         fcode[pc] = (F_LG_LOAD, cost(op.LOCAL_GET, o2)) + m1 + \
             _model(pc + 1, o2, hline, func_tag) + \
-            (i1[1], size, unpack, mask, i2[2], pc + 2)
+            (i1[1], size, mask, i2[2], pc + 2)
         return 2
 
     if pc + 2 >= n:
@@ -255,20 +256,18 @@ def _try_fuse(fcode: list, body: List[tuple], pc: int, n: int,
 
     # local.get; {local.get|const}; store
     if o3 in _STOREC:
-        size, pack, mask = _STOREC[o3]
+        size, _, mask = _STOREC[o3]
         if second_lg:
             fcode[pc] = (F_LG_LG_STORE, cost(op.LOCAL_GET, o2, o3)) + \
-                m1 + m2 + m3 + (i1[1], operand, size, pack, mask, i3[2],
-                                pc + 3)
+                m1 + m2 + m3 + (i1[1], operand, size, mask, i3[2], pc + 3)
         else:
             value = (operand & mask) if mask else operand
             fcode[pc] = (F_LG_CONST_STORE, cost(op.LOCAL_GET, o2, o3)) + \
-                m1 + m2 + m3 + (i1[1], value, size, pack, i3[2], pc + 3)
+                m1 + m2 + m3 + (i1[1], value, size, i3[2], pc + 3)
         return 3
 
     if o3 not in _BIN_FN:
         return 1
-    fn = _BIN_FN[o3]
 
     # local.get; {local.get|const}; compare; br_if
     if o3 in _COMPARES and pc + 3 < n and body[pc + 3][0] == op.BR_IF:
@@ -277,12 +276,11 @@ def _try_fuse(fcode: list, body: List[tuple], pc: int, n: int,
         m4 = _model(brpc, op.BR_IF, hline, func_tag)
         kind = F_LG_LG_CMP_BRIF if second_lg else F_LG_CONST_CMP_BRIF
         fcode[pc] = (kind, cost(op.LOCAL_GET, o2, o3, op.BR_IF)) + \
-            m1 + m2 + m3 + m4 + (i1[1], operand, fn, tgt, arity, hgt,
-                                 pc + 4)
+            m1 + m2 + m3 + m4 + (i1[1], operand, tgt, arity, hgt, pc + 4)
         return 4
 
     # local.get; {local.get|const}; binop
     kind = F_LG_LG_BIN if second_lg else F_LG_CONST_BIN
     fcode[pc] = (kind, cost(op.LOCAL_GET, o2, o3)) + m1 + m2 + m3 + \
-        (i1[1], operand, fn, pc + 3)
+        (i1[1], operand, pc + 3)
     return 3

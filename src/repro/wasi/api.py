@@ -12,8 +12,8 @@ marshalling shim, a JIT's compiled trampoline, an AOT image's link-time
 direct call, and the native baseline's plain syscall wrapper each price
 the same guest behavior differently — the eWAPA observation that WASI
 paths are where standalone runtimes diverge most.  Because *every*
-execution tier (reference interpreter, fastloop, closures, JIT machine,
-native executor) calls these same bound methods, call counts and byte
+execution tier (reference interpreter, closures, JIT machine, native
+executor) calls these same bound methods, call counts and byte
 totals are byte-identical across tiers by construction; only the
 per-engine instruction pricing differs between engine cells.
 """

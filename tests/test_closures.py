@@ -4,12 +4,12 @@ The closure tier is a template JIT of the model itself, so its failure
 mode is the worst kind: plausible numbers that are subtly wrong.  Every
 check here is therefore *differential* — the closure tier must produce
 byte-identical ``RunResult.to_json()`` output (counters, traps, stdout,
-span trees) to both the fastloop tier and the ``REPRO_SPEED=0``
-reference, across engines, ``-O`` levels, fuzz-generated programs, and
-the trap seed set.  Plus the sharing/robustness contract of the
-persisted closure bundles: pool workers hit shared artifacts, corrupt
-or stale artifacts recompute without crashing, and the tier knob itself
-parses strictly.
+span trees) to the ``REPRO_SPEED=0`` reference, across engines, ``-O``
+levels, fuzz-generated programs, and the trap seed set.  Plus the
+sharing/robustness contract of the persisted closure bundles: pool
+workers hit shared artifacts, corrupt or stale artifacts recompute
+without crashing, a load predecodes at most once, and the tier knob
+itself parses strictly.
 
 Run the sweep locally with a different seed base:
 ``REPRO_FUZZ_SEED=1234 python -m pytest tests/test_closures.py``.
@@ -32,10 +32,13 @@ from repro.harness.cli import main as wabench_main
 from repro.harness.parallel import run_cells
 from repro.hw import CPUModel
 from repro.isa.memory import LinearMemory
-from repro.runtimes.interp.engine import (THREADED_PROFILE, Interpreter,
-                                          prepare_function)
+from repro.runtimes.interp.engine import (CLASSIC_PROFILE, THREADED_PROFILE,
+                                          Interpreter, prepare_function)
 from repro.speed import closures
-from repro.speed.modcache import ModuleCache, ModuleEntry
+from repro.speed import predecode
+from repro.speed.modcache import ModuleCache
+from repro.wasm import I32, ModuleBuilder
+from repro.wasm import opcodes as op
 
 from .conftest import fuzz_seeds
 from .test_trap_equivalence import TRAP_PROGRAMS
@@ -55,8 +58,8 @@ def _closure_layer_reset():
 
 
 # ---------------------------------------------------------------------------
-# Interpreter-level equivalence: reference vs fastloop vs closures on
-# seeded random Wasm modules, down to every modeled counter.
+# Interpreter-level equivalence: reference vs closures on seeded random
+# Wasm modules, down to every modeled counter.
 # ---------------------------------------------------------------------------
 
 
@@ -79,14 +82,7 @@ def _interp_run(module, args, tier, pickle_roundtrip=False):
     interp = Interpreter(THREADED_PROFILE, cpu, mem, [], [], prepared)
     interp.set_signatures(module)
     line_shift = cpu.caches.line_shift
-    if tier >= 1:
-        entry = ModuleEntry("test", module, None)
-        entry.prepared = prepared
-        entry.total_ops = sum(len(f.body) for f in module.functions)
-        fast = entry.fast_code(THREADED_PROFILE, line_shift)
-        assert fast, "predecode produced no fast code"
-        interp.fast_code = fast
-    if tier >= 2:
+    if tier == 2:
         bundle = closures.compile_bundle(prepared, THREADED_PROFILE,
                                          line_shift)
         if pickle_roundtrip:
@@ -111,10 +107,8 @@ def _interp_run(module, args, tier, pickle_roundtrip=False):
 def test_interp_equivalence_hypothesis(seed, a, b):
     module = generate_module(seed)
     ref = _interp_run(module, (a, b), tier=0)
-    fast = _interp_run(module, (a, b), tier=1)
     closure = _interp_run(module, (a, b), tier=2)
     assert closure == ref
-    assert fast == ref
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds(8, salt=0xC105))
@@ -123,6 +117,38 @@ def test_interp_equivalence_seeded(seed):
     ref = _interp_run(module, (7, 13), tier=0)
     closure = _interp_run(module, (7, 13), tier=2)
     assert closure == ref
+
+
+def _compare_br_if_module():
+    """A counted loop whose exits are ``local.get; {local.get|const};
+    compare; br_if`` groups — the fused compare-and-branch entries,
+    which compiled MiniC (``i32.eqz`` before every ``br_if``) never
+    produces."""
+    mb = ModuleBuilder()
+    mb.set_memory(1)
+    fb = mb.function("f", [I32, I32], [I32], export=True)
+    fb.add_local(I32)
+    fb.block("out").loop("top")
+    fb.local_get(2).local_get(0).emit(op.I32_GE_U).br_if("out")
+    fb.local_get(2).i32_const(1).emit(op.I32_ADD).local_set(2)
+    fb.local_get(2).i32_const(5).emit(op.I32_LT_U).br_if("top")
+    fb.local_get(2).local_get(1).emit(op.I32_NE).br_if("top")
+    fb.end().end()
+    fb.local_get(2)
+    return mb.build()
+
+
+@pytest.mark.parametrize("args", [(0, 0), (3, 9), (40, 12), (9, 9)])
+def test_fused_compare_br_if_equivalent(args):
+    module = _compare_br_if_module()
+    kinds = {e[0] for fcode in predecode.predecode_functions(
+        [("wasm", prepare_function(module, module.functions[0], 0))],
+        THREADED_PROFILE, CPUModel().caches.line_shift).values()
+        for e in fcode}
+    assert {predecode.F_LG_LG_CMP_BRIF,
+            predecode.F_LG_CONST_CMP_BRIF} <= kinds
+    assert _interp_run(module, args, tier=2) == \
+        _interp_run(module, args, tier=0)
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds(3, salt=0xB1D))
@@ -162,10 +188,8 @@ def test_differential_sweep_generated_programs(seed):
     for engine in SWEEP_ENGINES:
         for opt in SWEEP_OPTS:
             ref = _tier_result(runner, source, engine, opt, tier=0)
-            fast = _tier_result(runner, source, engine, opt, tier=1)
             closure = _tier_result(runner, source, engine, opt, tier=2)
             assert closure == ref, f"{engine} -O{opt} tier 2 diverged"
-            assert fast == ref, f"{engine} -O{opt} tier 1 diverged"
 
 
 @pytest.mark.parametrize("name", sorted(TRAP_PROGRAMS))
@@ -185,7 +209,7 @@ def test_differential_trap_programs(name):
 @pytest.mark.slow
 @pytest.mark.parametrize("engine", ("wasm3", "wamr"))
 def test_full_suite_equivalence(engine):
-    """Every WABench program, byte-identical across all three tiers."""
+    """Every WABench program, byte-identical across tiers 0 and 2."""
     def suite(tier):
         speed.set_tier(tier)
         speed.module_cache.clear()
@@ -194,18 +218,15 @@ def test_full_suite_equivalence(engine):
                 for name in harness.benchmark_names}
 
     ref = suite(0)
-    fast = suite(1)
     closure = suite(2)
     diverged = [n for n in ref if closure[n] != ref[n]]
     assert not diverged, f"tier 2 diverged on: {diverged}"
-    diverged = [n for n in ref if fast[n] != ref[n]]
-    assert not diverged, f"tier 1 diverged on: {diverged}"
 
 
 @pytest.mark.parametrize("engine", SWEEP_ENGINES)
 def test_io_suite_equivalence(engine):
-    """The I/O-bound WABench class, byte-identical across all three
-    tiers.  These programs are WASI-heavy, so any tier that priced or
+    """The I/O-bound WABench class, byte-identical across tiers 0 and
+    2.  These programs are WASI-heavy, so any tier that priced or
     ordered host calls differently would diverge here first."""
     def suite(tier):
         speed.set_tier(tier)
@@ -215,12 +236,9 @@ def test_io_suite_equivalence(engine):
                 for name in io_names()}
 
     ref = suite(0)
-    fast = suite(1)
     closure = suite(2)
     diverged = [n for n in ref if closure[n] != ref[n]]
     assert not diverged, f"tier 2 diverged on: {diverged}"
-    diverged = [n for n in ref if fast[n] != ref[n]]
-    assert not diverged, f"tier 1 diverged on: {diverged}"
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +299,45 @@ def test_cross_worker_artifact_sharing(tmp_path):
         key = (cell[0], cell[1], cell[2], cell[3], "test")
         assert h1._result_cache[key].to_json() == expected[cell]
         assert h2._result_cache[key].to_json() == expected[cell]
+
+
+# ---------------------------------------------------------------------------
+# One predecode per (module, profile): a cold interpreter load predecodes
+# only inside compile_bundle, and a stored bundle skips predecode.
+# ---------------------------------------------------------------------------
+
+
+def test_single_predecode_per_module_profile(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapper(prepared, profile, line_shift):
+            calls.append(profile.name)
+            return fn(prepared, profile, line_shift)
+        return wrapper
+
+    monkeypatch.setattr(closures, "predecode_functions",
+                        counting(closures.predecode_functions))
+    monkeypatch.setattr(predecode, "predecode_functions",
+                        counting(predecode.predecode_functions))
+
+    def run_both():
+        harness = Harness(size="test", benchmarks=["gemm"])
+        # The harness detaches the store; attach it below the harness.
+        speed.module_cache.attach_disk(ArtifactCache(str(tmp_path)))
+        return [harness.run("gemm", e).to_json() for e in ("wasm3", "wamr")]
+
+    cold = run_both()
+    assert sorted(calls) == sorted([THREADED_PROFILE.name,
+                                    CLASSIC_PROFILE.name])
+
+    # A fresh module cache over the store holding both bundles binds
+    # them without predecoding anything.
+    calls.clear()
+    speed.module_cache.clear()
+    speed.wasm_memo_clear()
+    assert run_both() == cold
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -376,40 +433,41 @@ def test_closure_bundle_version_skew_misses_without_evicting(tmp_path):
 
 
 def test_repro_speed_env_parsed_strictly(monkeypatch):
-    for raw, expected in (("0", 0), ("1", 1), ("2", 2)):
+    for raw, expected in (("0", 0), ("2", 2)):
         monkeypatch.setenv("REPRO_SPEED", raw)
         speed._tier = None
         assert speed.tier() == expected
-    for raw in ("3", "on", "yes", "", " 1", "02"):
+    for raw in ("1", "3", "on", "yes", "", " 1", "02"):
         monkeypatch.setenv("REPRO_SPEED", raw)
         speed._tier = None
         with pytest.raises(HarnessError) as excinfo:
             speed.tier()
         assert "REPRO_SPEED" in str(excinfo.value)
+        assert "\n" not in str(excinfo.value)
     monkeypatch.delenv("REPRO_SPEED", raising=False)
     speed._tier = None
     assert speed.tier() == 2  # default
 
 
 def test_set_tier_validates():
-    with pytest.raises(HarnessError):
-        speed.set_tier(3)
-    with pytest.raises(HarnessError):
-        speed.set_tier("2")
-    speed.set_tier(1)
-    assert speed.tier() == 1 and speed.enabled()
+    for bad in (1, 3, "2"):
+        with pytest.raises(HarnessError) as excinfo:
+            speed.set_tier(bad)
+        assert "\n" not in str(excinfo.value)
+    assert speed.TIERS == (0, 2)
     speed.set_tier(0)
     assert not speed.enabled()
-    speed.set_enabled(True)
-    assert speed.tier() == 2
+    speed.set_tier(2)
+    assert speed.tier() == 2 and speed.enabled()
 
 
 def test_cli_rejects_bad_speed_tier(tmp_path, capsys):
-    rc = wabench_main(["run", "gemm", "--size", "test",
-                       "--speed-tier", "7", "--no-cache"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "--speed-tier" in err and err.count("\n") == 1
+    for bad in ("7", "1"):
+        rc = wabench_main(["run", "gemm", "--size", "test",
+                           "--speed-tier", bad, "--no-cache"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--speed-tier" in err and err.count("\n") == 1
 
 
 def test_cli_speed_tier_override(tmp_path, capsys, monkeypatch):
