@@ -46,7 +46,7 @@ _EXPORTS = {
     "ModuleAudit": "audit", "SuiteAudit": "audit",
     "audit_module": "audit", "audit_wasm": "audit",
     "audit_benchmark": "audit", "run_suite_audit": "audit",
-    "compare_baseline": "audit", "AUDIT_VERSION": "audit",
+    "AUDIT_VERSION": "audit",
 }
 
 
@@ -93,6 +93,5 @@ __all__ = [
     "audit_wasm",
     "audit_benchmark",
     "run_suite_audit",
-    "compare_baseline",
     "AUDIT_VERSION",
 ]

@@ -65,7 +65,7 @@ class CorpusEntry:
 
     @property
     def perf_baseline(self):
-        """Embedded perf-baseline slice, or None (non-perf entries)."""
+        """Embedded PERF_baseline.json slice, or None (non-perf entries)."""
         data = self.meta.get("perf")
         if not data:
             return None

@@ -60,6 +60,10 @@ PERF_SCHEMA = "wabench-perf-baseline/1"
 #: Where ``wabench fuzz --perf`` looks for the committed baseline.
 DEFAULT_BASELINE_PATH = "PERF_baseline.json"
 
+#: The campaign the committed baseline is built from.
+DEFAULT_SEED = 42
+DEFAULT_BUDGET = 50
+
 #: The metric the baseline gates on by default.
 DEFAULT_METRIC = "cycles"
 
@@ -207,7 +211,7 @@ class PerfBaseline:
             raise HarnessError(
                 f"perf baseline schema {data.get('schema')!r} != "
                 f"{PERF_SCHEMA!r} (refresh with "
-                "scripts/perf_baseline.py --update)")
+                "wabench golden update perf)")
         meta = {k: v for k, v in data.items()
                 if k not in ("schema", "metric", "reference", "pairs")}
         return cls(metric=data["metric"], reference=data["reference"],
@@ -223,7 +227,7 @@ class PerfBaseline:
         except FileNotFoundError:
             raise HarnessError(
                 f"perf baseline {path!r} not found (generate with "
-                "scripts/perf_baseline.py --update)")
+                "wabench golden update perf)")
         except (OSError, ValueError) as exc:
             raise HarnessError(f"perf baseline {path!r} unreadable: {exc}")
         return cls.from_dict(data)

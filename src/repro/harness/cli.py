@@ -34,25 +34,30 @@ committed ``PERF_baseline.json`` (the WarpDiff-style oracle)::
 (:mod:`repro.serve`): service workloads x engines x execution models
 (spawn-per-request, warm reuse, instance pool) x concurrency levels,
 reporting cold-start latency, p50/p90/p99, sustained RPS, scaling
-efficiency, and modeled memory.  The JSON report is deterministic and
-CI-diffed against ``SERVE_golden.json``::
+efficiency, and modeled memory.  The JSON report is deterministic; the
+``--seed 0`` grid is committed as ``SERVE_golden.json``::
 
     wabench serve --seed 0
     wabench serve --modes pool --pool-size 2 --json serve.json
 
 ``wabench audit`` statically audits every suite module (interprocedural
 call graph, static cost model cross-checked against one instrumented
-run, lint diagnostics WA001..WA008) and gates the findings against the
-committed ``AUDIT_baseline.json``::
+run, lint diagnostics WA001..WA008) and fails on a static stack-bound
+violation::
 
-    wabench audit
-    wabench audit --update-baseline
+    wabench audit --json audit.json
+
+``wabench golden`` regenerates the committed goldens (audit, io, serve,
+perf; see :mod:`repro.golden`) cold, warm and fanned out, and
+byte-compares them against the files, or rewrites the files::
+
+    wabench golden check
+    wabench golden update serve
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
@@ -306,7 +311,6 @@ def _cmd_fuzz(args) -> int:
     from ..fuzz import Corpus, run_campaign
     from ..fuzz.engines import DEFAULT_ENGINES
     from ..fuzz.perf import DEFAULT_BASELINE_PATH, PerfBaseline
-    from .cache import default_cache_dir
 
     engines = tuple(e.strip() for e in args.engines.split(",")) \
         if args.engines else DEFAULT_ENGINES
@@ -315,10 +319,8 @@ def _cmd_fuzz(args) -> int:
         (args.cache_dir or default_cache_dir())
     corpus = Corpus(args.corpus_dir or "corpus") \
         if (args.minimize or args.corpus_dir) else None
-    perf_baseline = None
-    if args.perf or args.perf_baseline:
-        perf_baseline = PerfBaseline.from_file(
-            args.perf_baseline or DEFAULT_BASELINE_PATH)
+    perf_baseline = PerfBaseline.from_file(DEFAULT_BASELINE_PATH) \
+        if args.perf else None
 
     progress = None
     if args.verbose:
@@ -351,12 +353,13 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    """Static audit of the suite, gated against the committed baseline.
+    """Static audit of the suite; fails on a static stack-bound violation.
 
     The report body is byte-identical across runs and ``--jobs`` values
-    (no wall-clock output), which is what lets CI diff it blindly.
+    (no wall-clock output); its expectations half is the committed
+    ``AUDIT_baseline.json`` golden (``wabench golden check audit``).
     """
-    from ..analysis.audit import compare_baseline, run_suite_audit
+    from ..analysis.audit import run_suite_audit
 
     bench_subset: Optional[List[str]] = None
     if args.benchmarks:
@@ -379,41 +382,11 @@ def _cmd_audit(args) -> int:
         with open(path, "w") as f:
             f.write(suite.to_json() + "\n")
         print(f"wrote {path}")
-    if args.update_baseline:
-        path = args.baseline or "AUDIT_baseline.json"
-        with open(path, "w") as f:
-            json.dump(suite.baseline_dict(), f, indent=1, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {path}")
-        return 0
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists("AUDIT_baseline.json"):
-        baseline_path = "AUDIT_baseline.json"
-    if baseline_path is None:
-        # No baseline to gate against; stack-bound violations (model
-        # soundness bugs) still fail the run.
-        bad = [r["name"] for r in suite.records if not r["stack_bound_ok"]]
-        if bad:
-            print("audit: static stack bound violated in: "
-                  + ", ".join(bad), file=sys.stderr)
-            return 1
-        return 0
-    with open(baseline_path) as f:
-        baseline = json.load(f)
-    regressions, notes = compare_baseline(suite, baseline)
-    for note in notes:
-        print(f"audit: note: {note}")
-    if regressions:
-        print(f"audit: {len(regressions)} regression(s) "
-              f"vs {baseline_path}:")
-        for line in regressions:
-            print(f"  {line}")
-        print("if these findings are intended, refresh the baseline:\n"
-              f"  wabench audit --size {args.size} -O{args.opt} "
-              "--update-baseline")
+    violated = suite.stack_violations()
+    if violated:
+        print("audit: static stack bound violated in: "
+              + ", ".join(violated), file=sys.stderr)
         return 1
-    print(f"audit: clean vs {baseline_path} "
-          f"({len(suite.records)} benchmark(s))")
     return 0
 
 
@@ -452,7 +425,7 @@ def _run_experiments(ids: List[str], args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wabench",
         description="WABench-repro: regenerate the paper's experiments")
@@ -530,13 +503,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     audit_p = sub.add_parser(
         "audit", help="static audit of the suite (call graph, cost "
-                      "model, lints) gated against AUDIT_baseline.json")
-    audit_p.add_argument("--baseline", default=None, metavar="PATH",
-                         help="baseline JSON to gate against (default: "
-                              "AUDIT_baseline.json when present)")
-    audit_p.add_argument("--update-baseline", action="store_true",
-                         help="rewrite the baseline from this run's "
-                              "findings instead of gating")
+                      "model, lints, static-vs-dynamic cross-check)")
     audit_p.add_argument("--json", default=None, metavar="PATH",
                          help="also write the full per-benchmark audit "
                               "report as JSON")
@@ -570,9 +537,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                        metavar="T",
                        help="override the repro.speed tier: 0 reference, "
                             "2 closures (default: $REPRO_SPEED or 2)")
-    # The committed audit baseline is generated at the test size, so the
-    # gate defaults to it (every other command defaults to small); same
-    # for the serve golden (SERVE_golden.json).
+    # The committed audit and serve goldens are generated at the test
+    # size, so these commands default to it (every other command
+    # defaults to small).
     audit_p.set_defaults(size="test")
     serve_p.set_defaults(size="test")
 
@@ -598,9 +565,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     fuzz_p.add_argument("--perf", action="store_true",
                         help="enable the performance-differential oracle "
                              "against the committed PERF_baseline.json")
-    fuzz_p.add_argument("--perf-baseline", default=None, metavar="PATH",
-                        help="perf baseline file (implies --perf; "
-                             "default: PERF_baseline.json)")
     fuzz_p.add_argument("--corpus-dir", default=None, metavar="DIR",
                         help="corpus directory (default: corpus/; only "
                              "written with --minimize or when given)")
@@ -620,10 +584,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="override the repro.speed tier: 0 reference, "
                              "2 closures (default: $REPRO_SPEED or 2)")
 
-    args = parser.parse_args(argv)
+    golden_p = sub.add_parser(
+        "golden", help="regenerate the committed goldens (audit, io, "
+                       "serve, perf) and byte-compare or rewrite them")
+    golden_p.add_argument("mode", choices=("check", "update"))
+    golden_p.add_argument("names", nargs="*", metavar="name",
+                          help="goldens to process (default: all)")
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "list":
             return _cmd_list(args)
+        if args.command == "golden":
+            from .. import golden
+            return golden.run(args.mode, args.names)
         _validate_args(args)
         if getattr(args, "speed_tier", None) is not None:
             speed.set_tier(args.speed_tier)

@@ -4,7 +4,7 @@ Covers the ``wabench serve`` determinism contract end to end:
 
 * report byte-identity across repeated runs, cold vs warm artifact
   caches, and ``--jobs 1`` vs ``--jobs 4`` — the property CI relies on
-  to diff the report against ``SERVE_golden.json``;
+  to byte-compare the report against ``SERVE_golden.json``;
 * simulator semantics per execution model: spawn pays a cold start per
   request, warm pays one per worker, pool exhaustion queues and idle
   expiry forces pool-miss cold starts;
@@ -70,8 +70,7 @@ class TestDeterminism:
             golden = f.read()
         assert report == golden, \
             "serve report drifted from SERVE_golden.json; if intended, " \
-            "regenerate with: wabench serve --seed 0 --no-cache " \
-            "--json SERVE_golden.json"
+            "regenerate with: wabench golden update serve"
 
     def test_run_serve_is_pure(self):
         def one():
