@@ -59,22 +59,25 @@ class BranchPredictor:
         """Predict+update a conditional branch; returns True on mispredict."""
         c = self.counters
         c.branches += 1
-        index = (pc ^ self._history) & self._gshare_mask
+        history = self._history
+        index = (pc ^ history) & self._gshare_mask
         counter = self._gshare[index]
-        predicted_taken = counter >= 2
+        # Predicted taken iff counter >= 2.
         if taken:
             if counter < 3:
                 self._gshare[index] = counter + 1
+            self._history = ((history << 1) | 1) & self._history_mask
+            if counter >= 2:
+                return False
         else:
             if counter > 0:
                 self._gshare[index] = counter - 1
-        self._history = ((self._history << 1) | (1 if taken else 0)) \
-            & self._history_mask
-        if predicted_taken != taken:
-            c.branch_misses += 1
-            c.stall_cycles += self.penalty
-            return True
-        return False
+            self._history = (history << 1) & self._history_mask
+            if counter < 2:
+                return False
+        c.branch_misses += 1
+        c.stall_cycles += self.penalty
+        return True
 
     # -- unconditional direct branches/calls -------------------------------
 
@@ -86,37 +89,47 @@ class BranchPredictor:
 
     def indirect_branch(self, pc: int, target: int) -> bool:
         """Predict+update an indirect branch; returns True on mispredict."""
+        mask = self._itc_mask
+        history = self._target_history
+        self._target_history = ((history << 4) ^ target) & mask
+        if self._btb.get(pc & mask) == target \
+                and self._itc.get(history & mask) == target:
+            # Steady state (dominant in loops): both components already
+            # predict this target, so the update would leave every table
+            # unchanged — only the target history advances, and the
+            # branch hits.
+            self.counters.branches += 1
+            return False
+        return self.indirect_update(pc, target, history)
+
+    def indirect_update(self, pc: int, target: int, history: int) -> bool:
+        """Count, predict and train one indirect branch reached with
+        target ``history``; returns True on mispredict.
+
+        Advancing ``_target_history`` is left to the caller, so a hot
+        loop that keeps the history in a local can call this directly.
+        """
         c = self.counters
         c.branches += 1
         mask = self._itc_mask
-        site_index = pc & mask
         # The history component is indexed by the recent-target path only,
         # so it can capture repeating *sequences* but cannot act as a
         # second site table for aliased sites.
-        history = self._target_history
+        site_index = pc & mask
         hist_index = history & mask
         site_pred = self._btb.get(site_index)
         hist_pred = self._itc.get(hist_index)
-        if site_pred == target and hist_pred == target:
-            # Steady state (dominant in loops): both components already
-            # predict this target, so the chooser update rules leave meta
-            # untouched and both table writes are idempotent — only the
-            # target history advances, and the branch hits.
-            self._target_history = ((history << 4) ^ target) & mask
-            return False
         # Chooser: a per-site 2-bit counter selects the component, as in
         # real hybrid indirect predictors.
         meta = self._meta.get(site_index, 1)
         predicted = hist_pred if meta >= 2 else site_pred
-        site_ok = target == site_pred
-        hist_ok = target == hist_pred
-        if hist_ok and not site_ok and meta < 3:
-            self._meta[site_index] = meta + 1
-        elif site_ok and not hist_ok and meta > 0:
+        if hist_pred == target:
+            if site_pred != target and meta < 3:
+                self._meta[site_index] = meta + 1
+        elif site_pred == target and meta > 0:
             self._meta[site_index] = meta - 1
         self._btb[site_index] = target
         self._itc[hist_index] = target
-        self._target_history = ((history << 4) ^ target) & mask
         if predicted == target:
             return False
         c.branch_misses += 1

@@ -8,9 +8,13 @@ hierarchy, branch predictors, stall-cycle accounting, and resident-memory
 accounting that the harness reads out at the end, exactly the role the
 Xeon's PMU plays for ``perf`` in the paper.
 
-Hot paths are allowed (encouraged) to reach into ``cpu.counters`` and the
-cache/predictor objects directly instead of going through these wrapper
-methods; the wrappers define the semantics.
+Hot paths may skip these wrappers and call ``cpu.counters``,
+``cpu.caches`` and ``cpu.branches`` directly.  They may shadow a hit
+path in locals (see ``repro.isa.machine``), but every update rule lives
+in :mod:`repro.hw.branch` and :mod:`repro.hw.cache`: a miss or update
+calls the model's own method, after writing the shadowed state back or
+handing it over (``BranchPredictor.indirect_update`` takes the target
+history).
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ enforce this; PERFORMANCE.md documents the contract).  Three techniques:
 * **closure compilation** (:mod:`repro.speed.closures`) — compile each
   function's predecoded form into one ``exec``-compiled Python
   closure: a template JIT *of the model itself* that specializes opcode
-  dispatch away entirely, with ``call_indirect`` inline caches and
-  every model hot path shadowed in frame locals.
+  dispatch away entirely, with ``call_indirect`` inline caches and the
+  predictor and L1I hit paths shadowed in frame locals.
 * **decoded-module caching** (:mod:`repro.speed.modcache`) — decoded,
   validated and prepared module forms (and generated closure source)
   are shared across engines and runs in-process, and persisted through
@@ -45,7 +45,7 @@ from ..errors import HarnessError
 
 #: Version of the predecoded/closure-compiled forms; part of every
 #: disk-cache key so a format change can never resurrect stale artifacts.
-SPEED_VERSION = 2   # 2: DecodeStats gained the non_minimal offsets field
+SPEED_VERSION = 3   # 3: predictor update path calls hw.BranchPredictor
 
 #: The tiers `REPRO_SPEED` accepts (see module docstring).
 TIERS = (0, 2)

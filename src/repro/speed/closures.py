@@ -18,12 +18,13 @@ every counter charge, predictor update, cache access and trap message.
 Two model hot paths are inlined with their object state shadowed in
 frame locals:
 
-* the indirect-target predictor, in full: the steady-state hit (both
-  components already predict the dispatched target, so the chooser and
-  tables are provably unchanged — only the target history advances)
-  and the update path (chooser, BTB and history-table writes applied
-  directly to the model's dicts, the miss penalty charged to the
-  pending stall count);
+* the indirect-target predictor's steady-state hit (both components
+  already predict the dispatched target, so the chooser and tables are
+  provably unchanged — only the target history advances); every other
+  outcome calls
+  :meth:`~repro.hw.branch.BranchPredictor.indirect_update` with the
+  shadowed history, so the update rules live only in
+  :mod:`repro.hw.branch`;
 * the L1I cache hit (tick bump + LRU touch, no miss recursion).
 
 The shadowed state (pending ``instr``/``stall``/``br``/``ldr`` counts,
@@ -31,10 +32,11 @@ the predictor target history, the L1I tick) is written back at every
 point the rest of the system can observe it: before guest/host calls,
 before every trap, and at frame exit.  L1I misses fall back to the real
 cache method after a write-back, so the shared L2/L3 and eviction order
-stay exact.  Slow paths (predictor update, L1I miss, trap-time flush)
-go through per-frame helper closures so the generated source stays
-compact.  tests/test_closures.py holds the differential harness that
-enforces all of this against the reference loop.
+stay exact.  Slow paths are one call each, so the generated source
+stays compact: the predictor update calls the model directly, the L1I
+miss and the trap-time flush go through per-frame helper closures.
+tests/test_closures.py holds the differential harness that enforces
+all of this against the reference loop.
 
 **Inline caches.**  Every ``call_indirect`` site carries an inline
 cache mapping table element index to resolved callee function index.
@@ -262,12 +264,11 @@ def _gen_function(pf, fcode: list,
         t = target if isinstance(target, str) else repr(target)
         si = site_name(site)
         out.emit(ind,
-                 "hi = th & imask",
-                 "br += 1",
-                 f"if btb_get({si}) == {t} and itc_get(hi) == {t}:",
-                 f"    th = ((th << 4) ^ {t}) & imask",
+                 f"if btb_get({si}) == {t} and itc_get(th & imask) == {t}:",
+                 "    br += 1",
                  "else:",
-                 f"    th, stall = _bp({si}, hi, {t}, th, stall)")
+                 f"    indirect_update({site}, {t}, th)",
+                 f"th = ((th << 4) ^ {t}) & imask")
 
     def emit_l1i(ind: int, line: int) -> None:
         cs = set_name(line)
@@ -625,7 +626,7 @@ def _gen_function(pf, fcode: list,
              "br_call = branches.call",
              "br_ret = branches.ret",
              "indirect = branches.indirect_branch",
-             "penalty = branches.penalty",
+             "indirect_update = branches.indirect_update",
              "l1d = counters.l1d",
              "l1i = cpu.caches.l1i",
              "l1i_access = l1i.access_line",
@@ -636,11 +637,8 @@ def _gen_function(pf, fcode: list,
              "table = I.table",
              "exec_ = I._exec",
              "imask = branches._itc_mask",
-             "btb = branches._btb",
-             "btb_get = btb.get",
-             "itc = branches._itc",
-             "itc_get = itc.get",
-             "metad = branches._meta",
+             "btb_get = branches._btb.get",
+             "itc_get = branches._itc.get",
              "th = branches._target_history",
              "l1i_sets = l1i.sets",
              "l1i_smask = l1i.set_mask",
@@ -653,23 +651,6 @@ def _gen_function(pf, fcode: list,
              "l1i_refs = 0",
              # The model's own slow paths, applied to the shadowed
              # state so it evolves exactly as in the reference loop.
-             "def _bp(si, hi, t, th, stall):",
-             "    sp = btb.get(si)",
-             "    hp = itc.get(hi)",
-             "    meta = metad.get(si, 1)",
-             "    predicted = hp if meta >= 2 else sp",
-             "    if hp == t:",
-             "        if sp != t and meta < 3:",
-             "            metad[si] = meta + 1",
-             "    elif sp == t and meta > 0:",
-             "        metad[si] = meta - 1",
-             "    btb[si] = t",
-             "    itc[hi] = t",
-             "    th = ((th << 4) ^ t) & imask",
-             "    if predicted != t:",
-             "        counters.branch_misses += 1",
-             "        stall += penalty",
-             "    return th, stall",
              "def _l1i(ln, tick, refs, stall):",
              "    l1i.tick = tick",
              "    l1i_stats.refs += refs",

@@ -15,6 +15,7 @@ Run the sweep locally with a different seed base:
 ``REPRO_FUZZ_SEED=1234 python -m pytest tests/test_closures.py``.
 """
 
+import hashlib
 import os
 import pickle
 
@@ -160,6 +161,32 @@ def test_bundle_pickle_roundtrip_equivalent(seed):
     roundtrip = _interp_run(module, (7, 13), tier=2,
                             pickle_roundtrip=True)
     assert roundtrip == direct
+
+
+#: sha256 of the generated bundles in ``test_bundle_fingerprint``, per
+#: ``SPEED_VERSION``.  Stored bundles are keyed by that version, so a
+#: change to the generated source must bump it (PERFORMANCE.md rule 3)
+#: and add its digest here.
+BUNDLE_DIGESTS = {
+    3: "6a37b9efde0c80cfffa4688f10e144527c7834b735bac502cde577116759cc7d",
+}
+
+
+def test_bundle_fingerprint():
+    """The generated source is pinned to ``SPEED_VERSION``: an emitter
+    change without a version bump would let stale stored bundles bind."""
+    digest = hashlib.sha256()
+    line_shift = CPUModel().caches.line_shift
+    modules = [generate_module(seed) for seed in (0, 1, 0xC105, 0xCAFE)]
+    for module in modules + [_compare_br_if_module()]:
+        prepared = [("wasm", prepare_function(module, func, i))
+                    for i, func in enumerate(module.functions)]
+        for profile in (CLASSIC_PROFILE, THREADED_PROFILE):
+            bundle = closures.compile_bundle(prepared, profile, line_shift)
+            digest.update(repr(sorted(bundle.items())).encode())
+    assert digest.hexdigest() == BUNDLE_DIGESTS.get(speed.SPEED_VERSION), \
+        "generated closure source changed: bump SPEED_VERSION and " \
+        "record the new digest in BUNDLE_DIGESTS"
 
 
 # ---------------------------------------------------------------------------

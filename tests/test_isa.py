@@ -160,6 +160,20 @@ class TestAluSemantics:
         assert ops.BINF[ops.ROTR32](ops.BINF[ops.ROTL32](a, n), n) == a
 
 
+# r0 = 10; r1 = 0; while (r0) { r1 += r0; r0 -= 1 } return r1
+LOOP_CODE = [
+    (ops.LI, 0, 10),
+    (ops.LI, 1, 0),
+    (ops.LI, 2, 1),
+    (ops.BRZ, 0, 8),          # 3: exit loop
+    (ops.ADD32, 1, 1, 0),     # 4
+    (ops.SUB32, 0, 0, 2),     # 5
+    (ops.JMP, 3),             # 6
+    (ops.LI, 3, 0),           # 7 (dead padding)
+    (ops.RET, 1),             # 8
+]
+
+
 class TestMachine:
     def test_simple_arith(self):
         code = [
@@ -172,19 +186,7 @@ class TestMachine:
         assert result == 5
 
     def test_loop_counts(self):
-        # r0 = 10; r1 = 0; while (r0) { r1 += r0; r0 -= 1 } return r1
-        code = [
-            (ops.LI, 0, 10),
-            (ops.LI, 1, 0),
-            (ops.LI, 2, 1),
-            (ops.BRZ, 0, 8),          # 3: exit loop
-            (ops.ADD32, 1, 1, 0),     # 4
-            (ops.SUB32, 0, 0, 2),     # 5
-            (ops.JMP, 3),             # 6
-            (ops.LI, 3, 0),           # 7 (dead padding)
-            (ops.RET, 1),             # 8
-        ]
-        result, machine = run_func(code)
+        result, machine = run_func(LOOP_CODE)
         assert result == 55
         counters = machine.cpu.counters
         assert counters.instructions > 30
@@ -430,6 +432,91 @@ class TestMachine:
         c = machine.cpu.counters
         assert c.l1i.misses <= 3
         assert c.l1i.refs > 100
+
+
+def _assert_written_back(cpu):
+    """Every ``Cache.access_line`` bumps both the LRU clock and the
+    reference count, so once the executor has written its shadowed L1
+    state back the two agree."""
+    c = cpu.counters
+    assert cpu.caches.l1i.tick == c.l1i.refs
+    assert cpu.caches.l1d.tick == c.l1d.refs
+
+
+# Call ``LOOP_CODE`` and a callee that spills, then touch data, so every
+# exit below has callee-advanced L1 clocks and pending L1I/L1D state.
+_WARM = [(ops.CALL, 7, 1, ()), (ops.CALL, 7, 2, ()), (ops.LI, 0, 64),
+         (ops.LI, 1, 5), (ops.STORE32, 0, 0, 1), (ops.LOAD32, 2, 0, 0),
+         (ops.SPILL, 2), (ops.GGET, 3, 0), (ops.GSET, 0, 3)]
+
+
+def _callees():
+    """Functions 1-3: the loop, an indirect-call target (sig 5), and a
+    callee that loads out of bounds."""
+    return [
+        MFunction("loop", 0, 4, list(LOOP_CODE), returns_value=True),
+        MFunction("f", 0, 1, [(ops.LI, 0, 7), (ops.SPILL, 0), (ops.RET, 0)],
+                  sig_id=5, returns_value=True),
+        MFunction("oob", 0, 2, [(ops.LI, 0, 65536), (ops.LOAD32, 1, 0, 0),
+                                (ops.RET, 1)]),
+    ]
+
+
+def _call_ind(sig):
+    return _WARM + [(ops.LI, 0, 0), (ops.CALL_IND, 1, sig, 0, ()),
+                    (ops.RET, 1)]
+
+
+def _oob(op_):
+    access = (ops.LOAD32, 1, 0, 0) if op_ == "load" else (ops.STORE32, 0, 0, 1)
+    return _WARM + [(ops.LI, 0, 65536), access, (ops.RET, 1)]
+
+
+# case -> (entry code, table, expected trap substring or None)
+_WRITEBACK_CASES = {
+    "return": (_WARM + [(ops.RET, 2)], [], None),
+    "oob_load": (_oob("load"), [], "out of bounds"),
+    "oob_store": (_oob("store"), [], "out of bounds"),
+    "trap_op": (_WARM + [(ops.TRAP_OP, "unreachable")], [], "unreachable"),
+    "trap_in_callee": (_WARM + [(ops.CALL, 1, 3, ()), (ops.RET, 1)], [],
+                       "out of bounds"),
+    "call_ind": (_call_ind(5), [2], None),
+    "call_ind_undefined": (_call_ind(5), [], "undefined element"),
+    "call_ind_uninitialized": (_call_ind(5), [-1], "uninitialized"),
+    "call_ind_type_mismatch": (_call_ind(6), [2], "type mismatch"),
+    "host_call": (_WARM + [(ops.CALL_HOST, 1, 0, (2,)), (ops.RET, 1)], [],
+                  None),
+    "stack_exhausted": (_WARM + [(ops.CALL, 1, 0, ()), (ops.RET, 1)], [],
+                        "stack exhausted"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITEBACK_CASES))
+def test_machine_writes_back_l1_state(case):
+    """After every top-level call, however it ends, and at every host
+    call, the executor's shadowed L1 clocks and reference counts have
+    been written back to the model."""
+    code, table, trap = _WRITEBACK_CASES[case]
+    host_args = []
+
+    def hostfn(machine, args):
+        _assert_written_back(machine.cpu)
+        host_args.append(tuple(args))
+        return 1
+
+    cpu = CPUModel()
+    try:
+        run_func(code, table=table, globals_init=[3], cpu=cpu,
+                 functions_extra=_callees(),
+                 host={"env.f": hostfn}, host_imports=["env.f"])
+        raised = None
+    except Trap as exc:
+        raised = str(exc)
+    assert (raised is None) == (trap is None)
+    assert trap is None or trap in raised
+    _assert_written_back(cpu)
+    assert cpu.counters.l1i.refs > 10 and cpu.counters.l1d.refs >= 5
+    assert host_args == ([(5,)] if case == "host_call" else [])
 
 
 class TestProgramStructure:
