@@ -8,10 +8,10 @@ Two phases, mirroring real interpreters:
   "M3 code" translator build.  Its cost is charged to the CPU model.
 
 * **execute**: a dispatch loop over the original instruction tuples.  Per
-  instruction it charges: the dispatch *indirect branch* (a single
-  dispatch site for the classic interpreter, a per-instruction site for
-  threaded code — which is exactly why threaded dispatch predicts
-  better), the handler's instruction count, the handler's I-cache line,
+  instruction it charges: the dispatch *indirect branch* (from a
+  per-instruction site for both interpreters), the handler's
+  instruction count (``dispatch_cost + handler_base`` plus the
+  profile-free per-opcode ``HANDLER_DELTA``), the handler's I-cache line,
   and two always-hitting L1D references for the operand stack.  Guest
   loads/stores additionally run through the full cache hierarchy at real
   linear-memory addresses, and guest conditional branches feed the
@@ -65,29 +65,32 @@ if _sys.getrecursionlimit() < _MAX_DEPTH * 6 + 200:
 # ---------------------------------------------------------------------------
 
 
-def _default_handler_costs(base: int) -> List[int]:
-    """Charged instructions per handler, by wasm opcode."""
-    costs = [base + 4] * 256
-    for o in range(op.I32_EQZ, op.F64_REINTERPRET_I64 + 1):
-        costs[o] = base + 4          # ALU / compare / convert
+def _handler_deltas() -> List[int]:
+    """Charged handler instructions above ``handler_base``, by wasm
+    opcode.  Profile-free: a profile's handler cost is always
+    ``handler_base + HANDLER_DELTA[o]``."""
+    costs = [4] * 256                # ALU / compare / convert, default
     for o in (op.I32_CONST, op.I64_CONST, op.F32_CONST, op.F64_CONST,
               op.LOCAL_GET, op.LOCAL_SET, op.LOCAL_TEE, op.DROP, op.NOP,
               op.BLOCK, op.LOOP, op.END):
-        costs[o] = base + 2
+        costs[o] = 2
     for o in list(range(op.I32_LOAD, op.I64_STORE32 + 1)):
-        costs[o] = base + 6          # address calc + bounds check + access
+        costs[o] = 6                 # address calc + bounds check + access
     for o in (op.GLOBAL_GET, op.GLOBAL_SET, op.SELECT):
-        costs[o] = base + 3
+        costs[o] = 3
     for o in (op.BR, op.BR_IF, op.IF, op.ELSE):
-        costs[o] = base + 4
-    costs[op.BR_TABLE] = base + 8
-    costs[op.CALL] = base + 26       # frame setup / teardown
-    costs[op.CALL_INDIRECT] = base + 34
-    costs[op.RETURN] = base + 8
-    costs[op.MEMORY_SIZE] = base + 3
-    costs[op.MEMORY_GROW] = base + 60
-    costs[op.UNREACHABLE] = base + 2
+        costs[o] = 4
+    costs[op.BR_TABLE] = 8
+    costs[op.CALL] = 26              # frame setup / teardown
+    costs[op.CALL_INDIRECT] = 34
+    costs[op.RETURN] = 8
+    costs[op.MEMORY_SIZE] = 3
+    costs[op.MEMORY_GROW] = 60
+    costs[op.UNREACHABLE] = 2
     return costs
+
+
+HANDLER_DELTA: List[int] = _handler_deltas()
 
 
 @dataclass(frozen=True)
@@ -97,20 +100,26 @@ class InterpProfile:
     name: str
     dispatch_cost: int            # instructions per dispatch
     handler_base: int             # baseline handler instructions
-    threaded: bool                # per-site dispatch (Wasm3) vs one site
     translate_cost_per_op: int    # load-time translation work
     code_bytes_per_op: int        # memory for the loaded/translated code
 
     def handler_costs(self) -> List[int]:
-        return _default_handler_costs(self.handler_base)
+        """Charged instructions per handler, by wasm opcode."""
+        return [self.handler_base + d for d in HANDLER_DELTA]
+
+    @property
+    def op_base(self) -> int:
+        """The per-op charge every opcode pays on top of its
+        profile-free ``HANDLER_DELTA``: dispatch plus handler base."""
+        return self.dispatch_cost + self.handler_base
 
 
 CLASSIC_PROFILE = InterpProfile(
-    name="classic", dispatch_cost=5, handler_base=6, threaded=False,
+    name="classic", dispatch_cost=5, handler_base=6,
     translate_cost_per_op=14, code_bytes_per_op=12)
 
 THREADED_PROFILE = InterpProfile(
-    name="threaded", dispatch_cost=3, handler_base=4, threaded=True,
+    name="threaded", dispatch_cost=3, handler_base=4,
     translate_cost_per_op=36, code_bytes_per_op=20)
 
 
@@ -306,8 +315,7 @@ class Interpreter:
 
     def __init__(self, profile: InterpProfile, cpu: CPUModel,
                  memory: LinearMemory, globals_: List,
-                 table: List[int], functions: List,
-                 handler_costs: Optional[List[int]] = None):
+                 table: List[int], functions: List):
         self.profile = profile
         self.cpu = cpu
         self.memory = memory
@@ -316,7 +324,6 @@ class Interpreter:
         # functions: list of ("host", callable, n_params) or
         # ("wasm", PreparedFunction)
         self.functions = functions
-        self.hcost = handler_costs or profile.handler_costs()
         self._depth = 0
         # Optional observer called as (func_index, pc, addr, size, is_store)
         # before every linear-memory access.  Used by the analysis test
@@ -385,10 +392,9 @@ class Interpreter:
         l1i_access = cpu.caches.l1i.access_line
         line_shift = cpu.caches.line_shift
         guest_line_base = 0x1000_0000 >> line_shift
-        hcost = self.hcost
+        hdelta = HANDLER_DELTA
         hline = self.handler_line
-        threaded = self.profile.threaded
-        dispatch_cost = self.profile.dispatch_cost
+        op_base = self.profile.op_base
         mem = self.memory
         globals_ = self.globals
         trace = self.trace_memory
@@ -404,7 +410,7 @@ class Interpreter:
             if profile is not None:
                 profile(func.index, o, len(stack))
             # --- the interpreter's own footprint ---
-            instr += dispatch_cost + hcost[o]
+            instr += op_base + hdelta[o]
             # Dispatch indirect branch.  Both modeled interpreters
             # pre-translate and dispatch from per-location sites (Wasm3's
             # threaded code; WAMR's fast-interpreter design); prediction

@@ -1,15 +1,17 @@
 """The two interpretation-based runtime models: Wasm3 and WAMR.
 
 * **Wasm3** pre-translates function bodies into threaded code at load
-  time (higher load cost, larger in-memory code) and then dispatches with
-  per-site indirect branches (cheap, predictable) — the reason the paper
-  measures it consistently faster than WAMR.
+  time (higher load cost, larger in-memory code) and then dispatches
+  cheaply — the reason the paper measures it consistently faster than
+  WAMR.
 * **WAMR** (classic interpreter mode) loads fast and small but pays a
-  single-site switch dispatch on every instruction.
+  costlier switch dispatch and handler on every instruction.
 
 Both share the engine in :mod:`repro.runtimes.interp.engine`; only the
 profile constants differ, which is faithful to how the two projects
-differ architecturally.
+differ architecturally.  At run time the two differ by one per-op
+constant (``InterpProfile.op_base``), so they share one prepared form
+and one bound closure bundle per module.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class InterpreterRuntime(WasmRuntime):
         closures = None
         if entry is not None:
             closures = speed.module_cache.closure_code(
-                entry, profile, cpu.caches.line_shift)
+                entry, cpu.caches.line_shift)
         return _LoadedInterp(prepared, total_ops * profile.code_bytes_per_op,
                              closures)
 

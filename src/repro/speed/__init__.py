@@ -11,10 +11,13 @@ enforce this; PERFORMANCE.md documents the contract).  Three techniques:
   superinstruction fusion for the dominant sequences, mirroring the
   locality discipline of ``repro.isa.machine``.
 * **closure compilation** (:mod:`repro.speed.closures`) — compile each
-  function's predecoded form into one ``exec``-compiled Python
-  closure: a template JIT *of the model itself* that specializes opcode
-  dispatch away entirely, with ``call_indirect`` inline caches and the
-  predictor and L1I hit paths shadowed in frame locals.
+  function's predecoded form into one Python closure: a template JIT
+  *of the model itself* that specializes opcode dispatch away entirely,
+  with ``call_indirect`` inline caches and the predictor and L1I hit
+  paths shadowed in frame locals.  The source is profile-free (the
+  interpreter's per-op constant is read at run time), so Wasm3 and
+  WAMR share one bundle per module, and each distinct function source
+  is compiled at most once per process.
 * **decoded-module caching** (:mod:`repro.speed.modcache`) — decoded,
   validated and prepared module forms (and generated closure source)
   are shared across engines and runs in-process, and persisted through
@@ -45,7 +48,7 @@ from ..errors import HarnessError
 
 #: Version of the predecoded/closure-compiled forms; part of every
 #: disk-cache key so a format change can never resurrect stale artifacts.
-SPEED_VERSION = 3   # 3: predictor update path calls hw.BranchPredictor
+SPEED_VERSION = 4   # 4: profile-free closure source (K = I.profile.op_base)
 
 #: The tiers `REPRO_SPEED` accepts (see module docstring).
 TIERS = (0, 2)

@@ -55,6 +55,14 @@ A branch target inside a fused group starts its own block from the
 group's preserved single-op tail entries, so it executes the original
 single-op semantics.
 
+**Profile-free source.**  The generated source never names an
+interpreter profile.  Each op's instruction charge is its profile-free
+handler delta plus ``K = I.profile.op_base`` (``dispatch_cost +
+handler_base``), read once per call in the prelude, and each distinct
+per-entry charge is hoisted to a prelude local ``D<n>`` like the site
+indices.  So one bundle per (module, cache geometry) serves both Wasm3
+and WAMR.
+
 **Persistence.**  :func:`compile_bundle` returns pickle-friendly
 ``(source, const descriptors)`` pairs — semantic callables, codec
 methods and inline-cache dicts are referenced by name in the source and
@@ -62,11 +70,22 @@ rebuilt from small descriptor tuples by :func:`bind_bundle` — so the
 whole bundle persists through the artifact store (see
 :meth:`repro.speed.modcache.ModuleCache.closure_code`) and ``--jobs``
 pool workers share one compilation instead of re-deriving it.
+
+**Compile once per process.**  Function sources recur across modules
+(every MiniC program links the same libc) and across bindings.
+:func:`bind_bundle` compiles each distinct source once and builds every
+binding's function from the shared code object with its own namespace
+(constants, inline caches).  The memo is weak: an entry lives exactly
+as long as some bound function still uses its code.
 """
 
 from __future__ import annotations
 
+import builtins
+import hashlib
 import math
+import types
+import weakref
 from typing import Dict, List, Tuple
 
 from ..errors import ReproError, Trap
@@ -150,9 +169,9 @@ def _lit(value, consts: _Consts) -> str:
 # ---------------------------------------------------------------------------
 
 
-def compile_bundle(prepared: List, profile, line_shift: int) -> Bundle:
+def compile_bundle(prepared: List, line_shift: int) -> Bundle:
     """Generate a persistable closure bundle for every wasm function."""
-    fcode_map = predecode_functions(prepared, profile, line_shift)
+    fcode_map = predecode_functions(prepared, line_shift)
     bundle: Bundle = {}
     for entry in prepared:
         if entry is not None and entry[0] == "wasm":
@@ -162,16 +181,41 @@ def compile_bundle(prepared: List, profile, line_shift: int) -> Bundle:
     return bundle
 
 
+#: Source digest -> compiled function body.  Weak: every bound function
+#: holds its ``__code__``, so an entry lives exactly as long as some
+#: bound function uses it.
+_code_memo: "weakref.WeakValueDictionary[bytes, types.CodeType]" = \
+    weakref.WeakValueDictionary()
+
+
+def _function_code(index: int, source: str) -> types.CodeType:
+    """The compiled body of ``source``, compiling it on first sight."""
+    key = hashlib.sha256(source.encode()).digest()
+    code = _code_memo.get(key)
+    if code is None:
+        module_code = compile(source, f"<speed-closure f{index}>", "exec")
+        funcs = [c for c in module_code.co_consts
+                 if isinstance(c, types.CodeType)]
+        if len(funcs) != 1 or funcs[0].co_name != f"_c{index}":
+            raise ReproError(f"closure bundle: f{index} source does not "
+                             f"define _c{index}")
+        code = _code_memo[key] = funcs[0]
+    return code
+
+
 def bind_bundle(bundle: Bundle) -> Dict[int, object]:
-    """Exec-compile a bundle into per-function callables."""
+    """Bind a bundle into per-function callables, compiling only the
+    sources this process has not compiled yet."""
     code: Dict[int, object] = {}
     for index, (source, descrs) in bundle.items():
-        namespace = {"Trap": Trap, "ReproError": ReproError}
+        # ``FunctionType`` takes builtins from its globals; without the
+        # entry Python 3.9 runs the body with only ``None`` built in.
+        namespace = {"__builtins__": builtins, "Trap": Trap,
+                     "ReproError": ReproError}
         for name, descr in descrs:
             namespace[name] = _resolve(descr)
-        exec(compile(source, f"<speed-closure f{index}>", "exec"),
-             namespace)
-        code[index] = namespace[f"_c{index}"]
+        code[index] = types.FunctionType(_function_code(index, source),
+                                         namespace)
     return code
 
 
@@ -233,6 +277,9 @@ def _gen_function(pf, fcode: list,
     # (empty sets count zero occupancy and fail membership tests).
     sites: Dict[int, str] = {}
     cache_sets: Dict[int, str] = {}
+    # Likewise each distinct (delta, ops) charge becomes ``D<n> = delta
+    # + ops * K``, so an op charges one local as a literal would.
+    charges: Dict[Tuple[int, int], str] = {}
 
     def site_name(site: int) -> str:
         name = sites.get(site)
@@ -246,6 +293,13 @@ def _gen_function(pf, fcode: list,
         if name is None:
             name = f"C{len(cache_sets)}"
             cache_sets[line] = name
+        return name
+
+    def charge_name(charge: Tuple[int, int]) -> str:
+        name = charges.get(charge)
+        if name is None:
+            name = f"D{len(charges)}"
+            charges[charge] = name
         return name
 
     def goto(target: int) -> str:
@@ -282,7 +336,7 @@ def _gen_function(pf, fcode: list,
                  f"_l1i({line}, l1i_tick, l1i_refs, stall)")
 
     def emit_head(ind: int, e: tuple) -> None:
-        out.emit(ind, f"instr += {e[1]}")
+        out.emit(ind, f"instr += {charge_name(e[1])}")
         emit_pred(ind, e[2], e[3])
         out.emit(ind, "ldr += 2")
         emit_l1i(ind, e[4])
@@ -664,6 +718,11 @@ def _gen_function(pf, fcode: list,
              "    l1i_stats.refs += r",
              "    branches._target_history = t",
              "    l1i.tick = k")
+    if charges:
+        head.emit(1, "K = I.profile.op_base")
+    for (delta, ops), name in charges.items():
+        head.emit(1, f"{name} = {delta} + {ops} * K" if ops > 1
+                  else f"{name} = {delta} + K")
     for site, name in sites.items():
         head.emit(1, f"{name} = {site} & imask")
     for line, name in cache_sets.items():

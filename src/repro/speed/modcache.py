@@ -7,7 +7,9 @@ of the module bytes.  This cache keys the decoded :class:`Module`, its
 decode stats, the interpreter's prepared side tables and the bound
 closure code by ``sha256(wasm_bytes)``, so each is computed once per
 process — and, when a persistent :class:`~repro.harness.cache
-.ArtifactCache` is attached, once per cache directory.
+.ArtifactCache` is attached, once per cache directory.  The closure
+bundle is profile-free, so Wasm3 and WAMR share one predecode, one
+generated bundle and one binding per (module, cache geometry).
 
 The *modeled* cost of the skipped passes is still charged in full by
 the pipeline (the charges are closed-form in the decode stats), so
@@ -22,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import ReproError as _ReproError
 
@@ -47,11 +49,11 @@ class ModuleEntry:
         # the wasm3/wamr loaders (prepare_function is profile-independent).
         self.prepared: Optional[List] = None
         self.total_ops = 0
-        # Bound closure-compiled functions keyed by (profile name,
-        # line_shift).  The *source bundle* persists to disk
-        # (ModuleCache.closure_code); the exec-compiled callables live
-        # here only.
-        self._closures: Dict[Tuple[str, int], Dict[int, object]] = {}
+        # Bound closure-compiled functions keyed by line_shift (the
+        # cache geometry), shared by both interpreter profiles.  The
+        # *source bundle* persists to disk (ModuleCache.closure_code);
+        # the bound callables live here only.
+        self._closures: Dict[int, Dict[int, object]] = {}
 
 
 class ModuleCache:
@@ -140,28 +142,27 @@ class ModuleCache:
     def entry_for(self, module) -> Optional[ModuleEntry]:
         return self._by_id.get(id(module))
 
-    def closure_code(self, entry: ModuleEntry, profile,
+    def closure_code(self, entry: ModuleEntry,
                      line_shift: int) -> Optional[Dict[int, object]]:
-        """Closure-compiled functions for ``entry`` on this profile and
-        cache geometry.
+        """Closure-compiled functions for ``entry`` on this cache
+        geometry, for either interpreter profile.
 
         The persistable source bundle is shared through the attached
-        disk store under ``closure-<sha>-<profile>-<line_shift>-v<N>``,
-        so ``--jobs`` pool workers (and later processes) bind a stored
-        compilation instead of regenerating it.  Binding (exec) is
-        always local — callables never cross process boundaries.
+        disk store under ``closure-<sha>-<line_shift>-v<N>``, so
+        ``--jobs`` pool workers (and later processes) bind a stored
+        compilation instead of regenerating it.  Binding is always
+        local — callables never cross process boundaries — and compiles
+        only sources this process has not compiled yet.
         """
         if entry.prepared is None:
             return None
-        key = (profile.name, line_shift)
-        code = entry._closures.get(key)
+        code = entry._closures.get(line_shift)
         if code is not None:
             return code
         from . import closures as _closures
         bundle = None
         if self._disk is not None:
-            disk_key = self._closure_key(entry.sha, profile.name,
-                                         line_shift)
+            disk_key = self._closure_key(entry.sha, line_shift)
             bundle = self._disk.get_pickle(disk_key)
             if not isinstance(bundle, dict):
                 # Stale/corrupt payload (get_pickle already applied the
@@ -182,14 +183,12 @@ class ModuleCache:
                 # as good as corrupt: fall through and regenerate.
                 code = None
         if code is None:
-            bundle = _closures.compile_bundle(entry.prepared, profile,
-                                              line_shift)
+            bundle = _closures.compile_bundle(entry.prepared, line_shift)
             if self._disk is not None:
                 self._disk.put_pickle(
-                    self._closure_key(entry.sha, profile.name,
-                                      line_shift), bundle)
+                    self._closure_key(entry.sha, line_shift), bundle)
             code = _closures.bind_bundle(bundle)
-        entry._closures[key] = code
+        entry._closures[line_shift] = code
         return code
 
     # -- internals --------------------------------------------------------
@@ -200,9 +199,9 @@ class ModuleCache:
         return f"speed-module-{sha}-v{SPEED_VERSION}"
 
     @staticmethod
-    def _closure_key(sha: str, profile_name: str, line_shift: int) -> str:
+    def _closure_key(sha: str, line_shift: int) -> str:
         from . import SPEED_VERSION
-        return f"closure-{sha}-{profile_name}-{line_shift}-v{SPEED_VERSION}"
+        return f"closure-{sha}-{line_shift}-v{SPEED_VERSION}"
 
     def _load_disk(self, sha: str) -> Optional[ModuleEntry]:
         if self._disk is None:

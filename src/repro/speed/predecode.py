@@ -2,12 +2,19 @@
 
 Translates a prepared function body once into ``fcode``: a list, indexed
 by the *same* pc as the original body, of flat tuples
-``(kind, cost, ...)`` with every per-instruction constant precomputed —
-handler cost (dispatch + handler instructions), dispatch-site tag,
-handler I-cache line, side-table jump targets, access sizes, masks and
-offsets, and pre-masked immediates.  Every field is plain data: the
-generator in :mod:`repro.speed.closures` inlines it as a literal and
-rebinds semantic callables and codecs from the opcode.
+``(kind, charge, ...)`` with every per-instruction constant precomputed —
+the profile-free handler charge, dispatch-site tag, handler I-cache
+line, side-table jump targets, access sizes, masks and offsets, and
+pre-masked immediates.  Every field is plain data: the generator in
+:mod:`repro.speed.closures` inlines it as a literal and rebinds semantic
+callables and codecs from the opcode.
+
+**Profile-free.**  An op's modeled instruction charge is
+``op_base + HANDLER_DELTA[o]`` where ``op_base = dispatch_cost +
+handler_base`` is the only per-profile constant.  ``charge`` is the pair
+``(sum of HANDLER_DELTA, number of ops)`` over the entry, and the
+generated code adds ``op_base`` per op at run time, so Wasm3 and WAMR
+share one fcode (and one closure bundle) per module and cache geometry.
 
 **Fusion.**  The dominant sequences compiled MiniC emits are collapsed
 into superinstructions stored at the head pc:
@@ -38,6 +45,7 @@ from typing import Dict, List, Optional
 from ..hw.config import RUNTIME_CODE_BASE
 from ..isa import ops as mops
 from ..isa import wasm_map
+from ..runtimes.interp.engine import HANDLER_DELTA
 from ..wasm import opcodes as op
 
 # Load/store codecs keyed by wasm opcode (same construction as the
@@ -71,7 +79,8 @@ _COMPARES = frozenset(
 # constant and read positionally by repro.speed.closures.
 # ---------------------------------------------------------------------------
 
-# Singles — all start (kind, cost, site, opcode, line, ...).
+# Singles — all start (kind, charge, site, opcode, line, ...), where
+# charge is (HANDLER_DELTA[opcode], 1).
 K_LOCAL_GET = 0       # 5: local index
 K_CONST = 1           # 5: pre-masked value
 K_BIN = 2
@@ -98,7 +107,8 @@ K_MEMORY_GROW = 22
 K_UNREACHABLE = 23
 K_BAD = 24            # validated modules never execute this
 
-# Fused — (kind, total cost, then (site, opcode, line) per sub-op, ...).
+# Fused — (kind, charge summed over the group's n ops as (deltas, n),
+# then (site, opcode, line) per sub-op, ...).
 F_LG_LG_BIN = 25        # 11: idx a, 12: idx b, 13: next pc
 F_LG_CONST_BIN = 26     # 11: idx a, 12: value, 13: next pc
 F_LG_LG_CMP_BRIF = 27   # 14: idx a, 15: idx b,
@@ -121,22 +131,19 @@ def _const_value(ins: tuple) -> object:
                      else 0xFFFFFFFFFFFFFFFF)
 
 
-def predecode_functions(prepared: List, profile,
+def predecode_functions(prepared: List,
                         line_shift: int) -> Dict[int, list]:
     """Predecode every wasm function in a loader's prepared list."""
-    hcost = profile.handler_costs()
-    dispatch = profile.dispatch_cost
     hline = [(RUNTIME_CODE_BASE >> line_shift) + o * 2 for o in range(256)]
     out: Dict[int, list] = {}
     for entry in prepared:
         if entry is not None and entry[0] == "wasm":
             pf = entry[1]
-            out[pf.index] = _predecode_body(pf, hcost, dispatch, hline)
+            out[pf.index] = _predecode_body(pf, hline)
     return out
 
 
-def _predecode_body(pf, hcost: List[int], dispatch: int,
-                    hline: List[int]) -> list:
+def _predecode_body(pf, hline: List[int]) -> list:
     body = pf.body
     side = pf.side
     n = len(body)
@@ -146,7 +153,7 @@ def _predecode_body(pf, hcost: List[int], dispatch: int,
     fcode: list = [None] * n
     for pc, ins in enumerate(body):
         o = ins[0]
-        head = (hcost[o] + dispatch, func_tag | pc, o, hline[o])
+        head = ((HANDLER_DELTA[o], 1), func_tag | pc, o, hline[o])
         if o == op.LOCAL_GET:
             e = (K_LOCAL_GET,) + head + (ins[1],)
         elif o in _CONSTS:
@@ -208,8 +215,7 @@ def _predecode_body(pf, hcost: List[int], dispatch: int,
     # Pass 2: greedy left-to-right fusion overlay at group heads.
     pc = 0
     while pc < n:
-        glen = _try_fuse(fcode, body, pc, n, hcost, dispatch, hline,
-                         func_tag)
+        glen = _try_fuse(fcode, body, pc, n, hline, func_tag)
         pc += glen
     return fcode
 
@@ -219,8 +225,7 @@ def _model(pc: int, o: int, hline: List[int], func_tag: int) -> tuple:
 
 
 def _try_fuse(fcode: list, body: List[tuple], pc: int, n: int,
-              hcost: List[int], dispatch: int, hline: List[int],
-              func_tag: int) -> int:
+              hline: List[int], func_tag: int) -> int:
     """Install a fused entry at ``pc`` if a pattern matches; return the
     number of pcs consumed (1 = no fusion)."""
     if body[pc][0] != op.LOCAL_GET or pc + 1 >= n:
@@ -230,7 +235,7 @@ def _try_fuse(fcode: list, body: List[tuple], pc: int, n: int,
     o2 = i2[0]
 
     def cost(*ops):
-        return sum(hcost[o] + dispatch for o in ops)
+        return (sum(HANDLER_DELTA[o] for o in ops), len(ops))
 
     m1 = _model(pc, op.LOCAL_GET, hline, func_tag)
 

@@ -8,13 +8,16 @@ span trees) to the ``REPRO_SPEED=0`` reference, across engines, ``-O``
 levels, fuzz-generated programs, and the trap seed set.  Plus the
 sharing/robustness contract of the persisted closure bundles: pool
 workers hit shared artifacts, corrupt or stale artifacts recompute
-without crashing, a load predecodes at most once, and the tier knob
-itself parses strictly.
+without crashing, a module predecodes and binds at most once for both
+interpreters, each distinct function source compiles once per process,
+and the tier knob itself parses strictly.
 
 Run the sweep locally with a different seed base:
 ``REPRO_FUZZ_SEED=1234 python -m pytest tests/test_closures.py``.
 """
 
+import builtins
+import gc
 import hashlib
 import os
 import pickle
@@ -74,18 +77,18 @@ def _counters_dict(cpu):
     return d
 
 
-def _interp_run(module, args, tier, pickle_roundtrip=False):
+def _interp_run(module, args, tier, pickle_roundtrip=False,
+                profile=THREADED_PROFILE):
     prepared = []
     for i, func in enumerate(module.functions):
         prepared.append(("wasm", prepare_function(module, func, i)))
     cpu = CPUModel()
     mem = LinearMemory(1)
-    interp = Interpreter(THREADED_PROFILE, cpu, mem, [], [], prepared)
+    interp = Interpreter(profile, cpu, mem, [], [], prepared)
     interp.set_signatures(module)
     line_shift = cpu.caches.line_shift
     if tier == 2:
-        bundle = closures.compile_bundle(prepared, THREADED_PROFILE,
-                                         line_shift)
+        bundle = closures.compile_bundle(prepared, line_shift)
         if pickle_roundtrip:
             bundle = pickle.loads(pickle.dumps(bundle))
         code = closures.bind_bundle(bundle)
@@ -115,9 +118,10 @@ def test_interp_equivalence_hypothesis(seed, a, b):
 @pytest.mark.parametrize("seed", fuzz_seeds(8, salt=0xC105))
 def test_interp_equivalence_seeded(seed):
     module = generate_module(seed)
-    ref = _interp_run(module, (7, 13), tier=0)
-    closure = _interp_run(module, (7, 13), tier=2)
-    assert closure == ref
+    for profile in (THREADED_PROFILE, CLASSIC_PROFILE):
+        ref = _interp_run(module, (7, 13), tier=0, profile=profile)
+        closure = _interp_run(module, (7, 13), tier=2, profile=profile)
+        assert closure == ref, profile.name
 
 
 def _compare_br_if_module():
@@ -144,7 +148,7 @@ def test_fused_compare_br_if_equivalent(args):
     module = _compare_br_if_module()
     kinds = {e[0] for fcode in predecode.predecode_functions(
         [("wasm", prepare_function(module, module.functions[0], 0))],
-        THREADED_PROFILE, CPUModel().caches.line_shift).values()
+        CPUModel().caches.line_shift).values()
         for e in fcode}
     assert {predecode.F_LG_LG_CMP_BRIF,
             predecode.F_LG_CONST_CMP_BRIF} <= kinds
@@ -169,6 +173,7 @@ def test_bundle_pickle_roundtrip_equivalent(seed):
 #: and add its digest here.
 BUNDLE_DIGESTS = {
     3: "6a37b9efde0c80cfffa4688f10e144527c7834b735bac502cde577116759cc7d",
+    4: "32b4225ebe2d0cdd3c77bf2d9af2f76788d7f9a6e5238b438bfa6aec9e4e0ea8",
 }
 
 
@@ -181,9 +186,8 @@ def test_bundle_fingerprint():
     for module in modules + [_compare_br_if_module()]:
         prepared = [("wasm", prepare_function(module, func, i))
                     for i, func in enumerate(module.functions)]
-        for profile in (CLASSIC_PROFILE, THREADED_PROFILE):
-            bundle = closures.compile_bundle(prepared, profile, line_shift)
-            digest.update(repr(sorted(bundle.items())).encode())
+        bundle = closures.compile_bundle(prepared, line_shift)
+        digest.update(repr(sorted(bundle.items())).encode())
     assert digest.hexdigest() == BUNDLE_DIGESTS.get(speed.SPEED_VERSION), \
         "generated closure source changed: bump SPEED_VERSION and " \
         "record the new digest in BUNDLE_DIGESTS"
@@ -329,24 +333,26 @@ def test_cross_worker_artifact_sharing(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# One predecode per (module, profile): a cold interpreter load predecodes
-# only inside compile_bundle, and a stored bundle skips predecode.
+# One predecode and one bind per module: the bundle is profile-free, so
+# wasm3 and wamr share it; a cold load predecodes only inside
+# compile_bundle, and a stored bundle skips predecode.
 # ---------------------------------------------------------------------------
 
 
-def test_single_predecode_per_module_profile(tmp_path, monkeypatch):
-    calls = []
+def _counting(calls, fn):
+    def wrapper(*args):
+        calls.append(fn.__name__)
+        return fn(*args)
+    return wrapper
 
-    def counting(fn):
-        def wrapper(prepared, profile, line_shift):
-            calls.append(profile.name)
-            return fn(prepared, profile, line_shift)
-        return wrapper
 
-    monkeypatch.setattr(closures, "predecode_functions",
-                        counting(closures.predecode_functions))
-    monkeypatch.setattr(predecode, "predecode_functions",
-                        counting(predecode.predecode_functions))
+def test_single_predecode_and_bind_per_module(tmp_path, monkeypatch):
+    predecodes, binds = [], []
+    for mod in (closures, predecode):
+        monkeypatch.setattr(mod, "predecode_functions",
+                            _counting(predecodes, mod.predecode_functions))
+    monkeypatch.setattr(closures, "bind_bundle",
+                        _counting(binds, closures.bind_bundle))
 
     def run_both():
         harness = Harness(size="test", benchmarks=["gemm"])
@@ -355,16 +361,83 @@ def test_single_predecode_per_module_profile(tmp_path, monkeypatch):
         return [harness.run("gemm", e).to_json() for e in ("wasm3", "wamr")]
 
     cold = run_both()
-    assert sorted(calls) == sorted([THREADED_PROFILE.name,
-                                    CLASSIC_PROFILE.name])
+    assert len(predecodes) == 1 and len(binds) == 1
 
-    # A fresh module cache over the store holding both bundles binds
-    # them without predecoding anything.
-    calls.clear()
+    # A fresh module cache over the store binds the stored bundle once,
+    # for both engines, without predecoding anything.
+    predecodes.clear()
+    binds.clear()
     speed.module_cache.clear()
     speed.wasm_memo_clear()
     assert run_both() == cold
-    assert calls == []
+    assert predecodes == [] and len(binds) == 1
+
+
+# ---------------------------------------------------------------------------
+# Compile once per process: a function source shared by two modules (the
+# libc every MiniC program links) is compiled once, and the memo holds a
+# compiled body only while a bound function uses it.
+# ---------------------------------------------------------------------------
+
+
+def test_shared_sources_compile_once(monkeypatch):
+    bundles, compiled = [], []
+    compile_bundle = closures.compile_bundle
+
+    def record_bundle(prepared, line_shift):
+        bundle = compile_bundle(prepared, line_shift)
+        bundles.append(bundle)
+        return bundle
+
+    def counting_compile(source, *args):
+        compiled.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(closures, "compile_bundle", record_bundle)
+    monkeypatch.setattr(closures, "compile", counting_compile,
+                        raising=False)
+    # Sources some earlier binding still holds are not compiled again.
+    held = set(closures._code_memo.keys())
+    harness = Harness(size="test", benchmarks=["gemm", "atax"])
+    for name in ("gemm", "atax"):
+        harness.run(name, "wasm3")
+
+    assert len(bundles) == 2
+    sources = [src for b in bundles for src, _ in b.values()]
+    assert len(set(sources)) < len(sources), "no libc source shared"
+    assert len(compiled) == len(set(compiled)), "a source compiled twice"
+    assert set(compiled) <= set(sources)
+    for source in set(sources) - set(compiled):
+        assert hashlib.sha256(source.encode()).digest() in held
+    # Every bound function carries builtins in its own globals (Python
+    # 3.9 does not fall back to the caller's for ``len`` and friends).
+    for fn in closures.bind_bundle(bundles[0]).values():
+        assert fn.__globals__["__builtins__"] is builtins
+
+
+def test_wasm3_then_wamr_matches_reference():
+    """Both engines bind one shared bundle in one process; each must
+    still match the tier-0 reference byte for byte."""
+    def run_pair(tier):
+        speed.set_tier(tier)
+        speed.module_cache.clear()
+        harness = Harness(size="test", benchmarks=["gemm"])
+        return [harness.run("gemm", e).to_json() for e in ("wasm3", "wamr")]
+
+    ref = run_pair(0)
+    closure = run_pair(2)
+    assert closure[0] == ref[0], "wasm3 diverged"
+    assert closure[1] == ref[1], "wamr diverged"
+    assert ref[0] != ref[1]
+
+
+def test_code_memo_released_with_module_cache():
+    harness = Harness(size="test", benchmarks=["crc32"])
+    harness.run("crc32", "wasm3")
+    assert len(closures._code_memo) > 0
+    speed.module_cache.clear()
+    gc.collect()
+    assert len(closures._code_memo) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +464,17 @@ def test_closure_bundle_persists_and_hits(tmp_path):
     stats = CacheStats()
     mc, entry = _cached_entry(cache, stats)
     line_shift = CPUModel().caches.line_shift
-    code = mc.closure_code(entry, THREADED_PROFILE, line_shift)
+    code = mc.closure_code(entry, line_shift)
     assert code and stats.misses.get("closure") == 1
-    key = ModuleCache._closure_key(entry.sha, THREADED_PROFILE.name,
-                                   line_shift)
+    key = ModuleCache._closure_key(entry.sha, line_shift)
     assert cache.contains(key)
     # A second cache (fresh process stand-in) binds the stored bundle.
     mc2, entry2 = _cached_entry(cache, stats)
-    code2 = mc2.closure_code(entry2, THREADED_PROFILE, line_shift)
+    code2 = mc2.closure_code(entry2, line_shift)
     assert stats.hits.get("closure") == 1
     assert sorted(code2) == sorted(code)
     # Memoized: a repeat lookup never touches the disk again.
-    mc2.closure_code(entry2, THREADED_PROFILE, line_shift)
+    mc2.closure_code(entry2, line_shift)
     assert stats.hits.get("closure") == 1
 
 
@@ -410,9 +482,8 @@ def test_closure_bundle_corruption_recomputes(tmp_path):
     cache = ArtifactCache(str(tmp_path / "cache"))
     mc, entry = _cached_entry(cache)
     line_shift = CPUModel().caches.line_shift
-    mc.closure_code(entry, THREADED_PROFILE, line_shift)
-    key = ModuleCache._closure_key(entry.sha, THREADED_PROFILE.name,
-                                   line_shift)
+    mc.closure_code(entry, line_shift)
+    key = ModuleCache._closure_key(entry.sha, line_shift)
 
     # Truncated object: the store detects it, evicts, and a fresh cache
     # recomputes without crashing.
@@ -421,19 +492,19 @@ def test_closure_bundle_corruption_recomputes(tmp_path):
     with open(path, "wb") as fh:
         fh.write(blob[:len(blob) // 2])
     mc2, entry2 = _cached_entry(cache)
-    assert mc2.closure_code(entry2, THREADED_PROFILE, line_shift)
+    assert mc2.closure_code(entry2, line_shift)
     assert cache.contains(key)  # rewritten on the recompute
 
     # Valid pickle, garbage source: recompute too.
     cache.put_pickle(key, {0: ("def broken(:", [])})
     mc3, entry3 = _cached_entry(cache)
-    assert mc3.closure_code(entry3, THREADED_PROFILE, line_shift)
+    assert mc3.closure_code(entry3, line_shift)
 
     # Valid pickle, unknown descriptor kind: recompute too.
     cache.put_pickle(key, {0: ("def _c0(I, args):\n    return None\n",
                                [("G0", ("no-such-kind",))])})
     mc4, entry4 = _cached_entry(cache)
-    assert mc4.closure_code(entry4, THREADED_PROFILE, line_shift)
+    assert mc4.closure_code(entry4, line_shift)
 
 
 def test_closure_bundle_version_skew_misses_without_evicting(tmp_path):
@@ -444,14 +515,13 @@ def test_closure_bundle_version_skew_misses_without_evicting(tmp_path):
     cache = ArtifactCache(str(tmp_path / "cache"))
     mc, entry = _cached_entry(cache)
     line_shift = CPUModel().caches.line_shift
-    key = ModuleCache._closure_key(entry.sha, THREADED_PROFILE.name,
-                                   line_shift)
+    key = ModuleCache._closure_key(entry.sha, line_shift)
     skew = b"cno_such_module\nNoSuchClass\n."  # protocol-0 pickle
     cache.put_bytes(key, skew)
     assert cache.get_pickle(key) is None
     assert cache.contains(key), "ImportError must not evict"
     # closure_code overwrites with a fresh bundle and keeps working.
-    assert mc.closure_code(entry, THREADED_PROFILE, line_shift)
+    assert mc.closure_code(entry, line_shift)
 
 
 # ---------------------------------------------------------------------------
